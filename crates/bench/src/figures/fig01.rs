@@ -6,7 +6,6 @@
 //! the shipdate predicate is very selective (evaluating it late wastes
 //! work on every other column).
 
-use popt_core::exec::scan::CompiledSelection;
 use popt_core::query::QueryBuilder;
 use popt_cpu::{CpuConfig, SimCpu};
 use popt_storage::stats;
@@ -37,8 +36,7 @@ pub fn run(ctx: &FigureCtx) {
         let peos = plan.all_peos();
         let cycles = parallel_map(&peos, |peo| {
             let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
-            let compiled =
-                CompiledSelection::compile(&table, &plan, peo).expect("figure plan compiles");
+            let compiled = plan.compile(&table, peo).expect("figure plan compiles");
             compiled.run_range(&mut cpu, 0, rows);
             cpu.cycles()
         });

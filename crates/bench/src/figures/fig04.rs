@@ -5,7 +5,6 @@
 //! near 1.0 everywhere mean the multi-predicate composition of the Markov
 //! model holds.
 
-use popt_core::exec::scan::CompiledSelection;
 use popt_cost::branch_costs::estimate_peo_branches;
 use popt_cost::markov::ChainSpec;
 use popt_cpu::{CpuConfig, SimCpu};
@@ -31,7 +30,7 @@ pub fn run(ctx: &FigureCtx) {
     let results = parallel_map(&grid, |&(p1, p2)| {
         let plan = uniform_plan(&[p1, p2]);
         let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let compiled = CompiledSelection::compile(&table, &plan, &[0, 1]).expect("plan compiles");
+        let compiled = plan.compile(&table, &[0, 1]).expect("plan compiles");
         let stats = compiled.run_range(&mut cpu, 0, rows);
         let predicted = estimate_peo_branches(rows as u64, &[p1, p2], &ChainSpec::SIX, true);
         let ratio = |measured: u64, predicted: f64| -> f64 {

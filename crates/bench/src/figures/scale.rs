@@ -18,9 +18,12 @@
 //! estimator round per interval, charged to the core that ran it) and
 //! trial morsels (leased to exactly one core).
 
+use std::sync::Arc;
+
 use popt_core::exec::program::CompiledProgram;
+use popt_core::observe::ExecObservers;
 use popt_core::parallel::{
-    run_parallel_program, run_parallel_program_traced, MorselConfig, MorselDispatcher,
+    run_parallel_program, run_parallel_program_observed, MorselConfig, MorselDispatcher,
     ParallelReport,
 };
 use popt_core::plan::{Expr, PlanBuilder};
@@ -53,14 +56,13 @@ fn run_pool(
     trace: Option<&TraceCapture>,
 ) -> ParallelReport {
     match trace {
-        Some(capture) => run_parallel_program_traced(
+        Some(capture) => run_parallel_program_observed(
             program,
             initial_order,
             morsels,
             pool,
             reopt,
-            capture.tracer(),
-            capture.next_query(),
+            &ExecObservers::none().with_trace(Arc::clone(capture.tracer()), capture.next_query()),
         ),
         None => run_parallel_program(program, initial_order, morsels, pool, reopt),
     }

@@ -1,7 +1,8 @@
 //! Release-mode host-speed ratio gate: the batched fast path must beat
 //! the scalar per-event oracle by at least 3x on the single-predicate
-//! scan microbench (the shape where the closed-form line accounting
-//! applies in full).
+//! scan microbench — a selection plan lowered to a one-stage compiled
+//! program, the shape where the closed-form line accounting applies in
+//! full.
 //!
 //! The assertion is a *ratio* measured within one process — both sides
 //! see the same machine, load, and frequency — so it is far more stable
@@ -14,7 +15,6 @@ use std::time::Instant;
 
 use popt_bench::figures::fig14::scaled_cpu;
 use popt_bench::figures::workload::xorshift64;
-use popt_core::exec::scan::CompiledSelection;
 use popt_core::plan::SelectionPlan;
 use popt_core::predicate::{CompareOp, Predicate};
 use popt_cpu::SimCpu;
@@ -36,7 +36,7 @@ fn batched_scan_is_at_least_3x_scalar_oracle() {
     table.add_column("val", ColumnData::I32(val), &mut space);
     let plan = SelectionPlan::new(vec![Predicate::new("val", CompareOp::Lt, 500)], vec![])
         .expect("scan plan");
-    let mut compiled = CompiledSelection::compile(&table, &plan, &[0]).expect("scan compiles");
+    let mut compiled = plan.compile(&table, &[0]).expect("scan compiles");
 
     let mut best = |oracle: bool| {
         compiled.set_scalar_oracle(oracle);

@@ -10,7 +10,7 @@
 //! counts (Figure 16), against "virtually no costs" for PMU sampling.
 //!
 //! This executor is the instrumented twin of
-//! [`crate::exec::scan::CompiledSelection`]: the identical loop with the
+//! [`crate::exec::program::CompiledProgram`]: the identical loop with the
 //! per-evaluation counter update interleaved, in exchange for *exact*
 //! per-position pass counts.
 
@@ -18,7 +18,7 @@ use popt_cpu::SimCpu;
 use popt_storage::Table;
 
 use crate::error::EngineError;
-use crate::exec::scan::{CompiledSelection, VectorStats, LOOP_BRANCH_SITE};
+use crate::exec::program::{CompiledProgram, VectorStats};
 use crate::plan::SelectionPlan;
 
 /// Instructions charged per counter update (load, add, store, address
@@ -34,7 +34,7 @@ pub const COUNTER_BASE_ADDR: u64 = 0xC0_0000_0000;
 
 /// A selection scan instrumented with explicit per-predicate counters.
 pub struct EnumeratedSelection<'t> {
-    inner: CompiledSelection<'t>,
+    inner: CompiledProgram<'t>,
 }
 
 /// Result of an instrumented range execution.
@@ -55,61 +55,23 @@ impl<'t> EnumeratedSelection<'t> {
         peo: &[usize],
     ) -> Result<Self, EngineError> {
         Ok(Self {
-            inner: CompiledSelection::compile(table, plan, peo)?,
+            inner: plan.compile(table, peo)?,
         })
     }
 
     /// Execute rows `start..end` with counter instrumentation: every
     /// predicate evaluation additionally increments an in-memory counter.
     pub fn run_range(&self, cpu: &mut SimCpu, start: usize, end: usize) -> EnumeratedStats {
-        let inner = &self.inner;
-        let before = cpu.counters();
-        let costs = inner.costs;
-        let mut qualified = 0u64;
-        let mut sum = 0i64;
-        let mut pass_counts = vec![0u64; inner.preds.len()];
-        for i in start..end {
-            cpu.instr(costs.loop_overhead);
-            let mut pass = true;
-            for (k, p) in inner.preds.iter().enumerate() {
-                cpu.load(p.stream, p.base + (i as u64) * 4, 4);
-                cpu.instr(costs.per_eval + p.extra_instructions);
-                let ok = p.op.eval(i64::from(p.values[i]), p.literal);
-                // The instrumentation: update this predicate's counter.
+        let mut pass_counts = vec![0u64; self.inner.len()];
+        let stats = self
+            .inner
+            .run_range_instrumented(cpu, start, end, |cpu, k, ok| {
+                // The instrumentation: update this position's counter.
                 cpu.instr(COUNTER_UPDATE_INSTRUCTIONS);
                 cpu.store(COUNTER_STREAM, COUNTER_BASE_ADDR + (k as u64) * 8, 8);
-                cpu.branch(p.site, !ok);
-                if ok {
-                    pass_counts[k] += 1;
-                } else {
-                    pass = false;
-                    break;
-                }
-            }
-            if pass {
-                qualified += 1;
-                let mut product = 1i64;
-                for a in &inner.agg {
-                    cpu.load(a.stream, a.base + (i as u64) * 4, 4);
-                    cpu.instr(costs.per_agg_column);
-                    product *= i64::from(a.values[i]);
-                }
-                if !inner.agg.is_empty() {
-                    sum += product;
-                }
-            }
-            cpu.branch(LOOP_BRANCH_SITE, true);
-        }
-        let after = cpu.counters();
-        EnumeratedStats {
-            stats: VectorStats {
-                tuples: (end - start) as u64,
-                qualified,
-                sum,
-                counters: after.since(&before),
-            },
-            pass_counts,
-        }
+                pass_counts[k] += u64::from(ok);
+            });
+        EnumeratedStats { stats, pass_counts }
     }
 }
 
@@ -148,7 +110,7 @@ mod tests {
         let t = table(4000);
         let p = plan(4);
         let peo: Vec<usize> = (0..4).collect();
-        let plain = CompiledSelection::compile(&t, &p, &peo).unwrap();
+        let plain = p.compile(&t, &peo).unwrap();
         let inst = EnumeratedSelection::compile(&t, &p, &peo).unwrap();
         let mut cpu1 = SimCpu::new(CpuConfig::tiny_test());
         let mut cpu2 = SimCpu::new(CpuConfig::tiny_test());
@@ -180,7 +142,7 @@ mod tests {
         let t = table(4000);
         let p = plan(4);
         let peo: Vec<usize> = (0..4).collect();
-        let plain = CompiledSelection::compile(&t, &p, &peo).unwrap();
+        let plain = p.compile(&t, &peo).unwrap();
         let inst = EnumeratedSelection::compile(&t, &p, &peo).unwrap();
 
         let mut cpu1 = SimCpu::new(CpuConfig::tiny_test());

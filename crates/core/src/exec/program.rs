@@ -1,33 +1,144 @@
-//! The compiled flat stage form: what a [`crate::plan::LogicalPlan`]
-//! lowers to and what the progressive runtime executes.
+//! The compiled flat stage form: the one executor every query runs on.
 //!
-//! Lowering emits a compact *stage table* — one [`CompiledStage`] per
-//! canonical conjunct (column base address, stream id, comparison op,
-//! literal, optional probe geometry into a dimension) — plus a separate
-//! evaluation-order permutation. A progressive reorder is therefore a
-//! cheap re-emit of the permutation ([`CompiledProgram::reorder`]), not
-//! a re-chaining of boxed primitives: the stage table never moves.
+//! Section 2.1 describes the machine code a JIT-compiling engine emits for
+//! a conjunctive filter: per tuple, one load + compare + conditional
+//! branch per stage, short-circuiting on the first failure, then the
+//! aggregate update and the loop back-edge. This module is that loop,
+//! "executed" against the simulated CPU. Every stage owns a static branch
+//! site keyed by its *plan* index, so predictor state follows the stage
+//! across reorders, as it would across JIT recompilations at the same code
+//! addresses. Every column is one access stream. A qualifying tuple falls
+//! through (branch **not** taken) and a failing tuple jumps (branch
+//! **taken**), which produces the counter identities of Section 2.2:
 //!
-//! Execution semantics and simulated CPU events are bit-identical to the
-//! boxed [`crate::exec::pipeline::Pipeline`] executor on every workload
-//! (pinned by `tests/proptest_frontend.rs`): same loads, same
-//! instruction charges, same branch sites, same short-circuit order.
+//! * `qualifying = 2·n − branches_taken`
+//! * `branches_not_taken = Σ per-stage survivors`
+//!
+//! A stage is a selection `column OP literal` or a foreign-key join filter
+//! (Sections 5.5–5.6): probe the dimension tuple the key addresses and
+//! test its payload. Both are filters over the fact stream, so operators
+//! reorder exactly like predicates.
+//!
+//! Lowering ([`CompiledProgram::from_plan`], or
+//! [`crate::plan::SelectionPlan::compile`] for a plain multi-selection
+//! plan) emits a compact *stage table* plus a separate evaluation-order
+//! permutation. A progressive reorder is therefore a cheap re-emit of the
+//! permutation ([`CompiledProgram::reorder`]) — the vectorized engine's
+//! "chaining pre-compiled primitives in the new order" of Section 4.4 —
+//! and the stage table never moves.
 
 use std::hash::{Hash, Hasher};
 
 use popt_cost::estimate::{PlanGeometry, ProbeGeometry};
 use popt_cost::join_model::JoinGeometry;
 use popt_cost::markov::ChainSpec;
+use popt_cpu::pmu::CounterDelta;
 use popt_cpu::{BranchSite, CpuConfig, NumaPlacement, SimCpu};
+use popt_solver::SampledCounters;
 
 use crate::error::EngineError;
-use crate::exec::scan::{AggColumn, InstrCosts, VectorStats, LOOP_BRANCH_SITE};
 use crate::plan::logical::{Expr, LogicalNode, LogicalPlan};
 use crate::predicate::CompareOp;
 
+/// Instruction charges of the generated loop (mirrored by the analytic
+/// cycle model's defaults).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InstrCosts {
+    /// Per loop iteration: counter increment + bounds test.
+    pub loop_overhead: u64,
+    /// Per stage evaluation: load + compare + jump (+ address math).
+    pub per_eval: u64,
+    /// Per aggregate column read for a qualifying tuple.
+    pub per_agg_column: u64,
+}
+
+impl Default for InstrCosts {
+    fn default() -> Self {
+        Self {
+            loop_overhead: 2,
+            per_eval: 4,
+            per_agg_column: 3,
+        }
+    }
+}
+
+/// Branch site id of the loop back-edge (stage sites use their plan
+/// index).
+pub const LOOP_BRANCH_SITE: BranchSite = BranchSite(u32::MAX);
+
+/// An aggregate column read for qualifying tuples.
+#[derive(Clone)]
+struct AggColumn<'t> {
+    values: &'t [i32],
+    base: u64,
+    stream: usize,
+}
+
+/// Measurements of one executed vector (or any row range).
+#[derive(Debug, Clone, PartialEq)]
+pub struct VectorStats {
+    /// Tuples processed.
+    pub tuples: u64,
+    /// Tuples qualifying all stages (engine ground truth).
+    pub qualified: u64,
+    /// Aggregate sum over qualifying tuples (product across aggregate
+    /// columns, summed).
+    pub sum: i64,
+    /// Counter deltas for exactly this range.
+    pub counters: CounterDelta,
+}
+
+impl VectorStats {
+    /// The output cardinality as the *counters* see it: `2·n − bT`
+    /// (Section 2.2). Equals [`VectorStats::qualified`] whenever the scan
+    /// ran alone between the snapshots — the non-invasive path the
+    /// estimator uses.
+    pub fn derived_output(&self) -> u64 {
+        (2 * self.tuples).saturating_sub(self.counters.branches_taken)
+    }
+
+    /// Package the measurements for the selectivity estimator.
+    pub fn sampled_counters(&self) -> SampledCounters {
+        SampledCounters {
+            n_input: self.tuples,
+            n_output: self.derived_output(),
+            bnt: self.counters.branches_not_taken,
+            mp_taken: self.counters.mp_taken,
+            mp_not_taken: self.counters.mp_not_taken,
+            l3_accesses: self.counters.l3_accesses,
+        }
+    }
+
+    /// Cycles per tuple — the accept/revert metric of the trial step.
+    pub fn cycles_per_tuple(&self) -> f64 {
+        if self.tuples == 0 {
+            0.0
+        } else {
+            self.counters.cycles as f64 / self.tuples as f64
+        }
+    }
+
+    /// Merge another range's measurements into this one.
+    pub fn accumulate(&mut self, other: &VectorStats) {
+        self.tuples += other.tuples;
+        self.qualified += other.qualified;
+        self.sum += other.sum;
+        self.counters.accumulate(&other.counters);
+    }
+
+    /// All-zero stats.
+    pub fn zero() -> Self {
+        Self {
+            tuples: 0,
+            qualified: 0,
+            sum: 0,
+            counters: CounterDelta::default(),
+        }
+    }
+}
+
 /// Instructions charged per probe over the base per-eval charge — the
-/// index arithmetic of a foreign-key probe, identical to the boxed
-/// executor's `FilterOp::join_filter`.
+/// index arithmetic of a foreign-key probe.
 const PROBE_INSTRUCTIONS: u64 = 6;
 
 /// The probe half of a join stage: the dimension payload column.
@@ -119,30 +230,24 @@ impl CompiledStage<'_> {
         hasher.finish()
     }
 
-    /// Evaluate the stage for row `i`, driving the same CPU events as
-    /// the boxed executor.
+    /// Load and test row `i` — the stage's column load, its probe (for
+    /// joins), and its instruction charge — without the conditional
+    /// branch that consumes the outcome.
     #[inline]
-    fn eval(&self, cpu: &mut SimCpu, i: usize, costs: &InstrCosts) -> bool {
-        match &self.probe {
-            None => {
-                cpu.load(self.stream, self.base + (i as u64) * 4, 4);
-                cpu.instr(costs.per_eval + self.extra_instructions);
-                let ok = self.op.eval(i64::from(self.values[i]), self.literal);
-                cpu.branch(self.site, !ok);
-                ok
-            }
+    fn test(&self, cpu: &mut SimCpu, i: usize, costs: &InstrCosts) -> bool {
+        cpu.load(self.stream, self.base + (i as u64) * 4, 4);
+        let value = match &self.probe {
+            None => self.values[i],
             Some(p) => {
-                cpu.load(self.stream, self.base + (i as u64) * 4, 4);
                 let key = self.values[i] as usize;
                 // The full key range was validated at lowering.
                 debug_assert!(key < p.dim_values.len(), "dangling foreign key");
                 cpu.load(p.dim_stream, p.dim_base + (key as u64) * 4, 4);
-                cpu.instr(costs.per_eval + self.extra_instructions);
-                let ok = self.op.eval(i64::from(p.dim_values[key]), self.literal);
-                cpu.branch(self.site, !ok);
-                ok
+                p.dim_values[key]
             }
-        }
+        };
+        cpu.instr(costs.per_eval + self.extra_instructions);
+        self.op.eval(i64::from(value), self.literal)
     }
 }
 
@@ -162,8 +267,9 @@ impl std::fmt::Debug for CompiledStage<'_> {
 }
 
 /// A compiled program: the flat stage table, the evaluation-order
-/// permutation, and the aggregate columns. Count/sum semantics are
-/// identical to the scan and pipeline executors.
+/// permutation, and the aggregate columns. A qualifying tuple adds the
+/// product of its aggregate columns to the sum (count only when there
+/// are none).
 #[derive(Clone)]
 pub struct CompiledProgram<'t> {
     /// Stages in plan (lowering) order.
@@ -200,8 +306,8 @@ impl<'t> CompiledProgram<'t> {
     /// the static passes do, so the passes are an optimization, never a
     /// prerequisite. Branch sites are numbered by stage emission order;
     /// dimension streams are `100 + join ordinal` (the convention the
-    /// figures established). Foreign-key ranges are validated here, like
-    /// the boxed constructor.
+    /// figures established). Foreign-key ranges are validated here, so a
+    /// negative or dangling key is an error, never a hot-loop panic.
     pub fn from_plan(plan: &LogicalPlan<'t>) -> Result<Self, EngineError> {
         let fact = plan.fact();
         let mut stages: Vec<CompiledStage<'t>> = Vec::new();
@@ -355,8 +461,8 @@ impl<'t> CompiledProgram<'t> {
         self.scalar_oracle = on;
     }
 
-    /// Execute rows `start..end`; measurement semantics identical to the
-    /// scan and pipeline executors. Dispatches to the batched fast path
+    /// Execute rows `start..end` against `cpu`, returning measurements for
+    /// exactly that range. Dispatches to the batched fast path
     /// (register-held stream states, bulk PMU flush per call) unless the
     /// scalar oracle was requested or the program shape exceeds the fixed
     /// scratch.
@@ -431,61 +537,90 @@ impl<'t> CompiledProgram<'t> {
             let mut mp_taken = 0u64;
             let mut mp_not_taken = 0u64;
             let mut hist = batch.history();
-            for i in start..end {
-                instrs += self.costs.loop_overhead;
-                let mut pass = true;
-                for (k, &j) in self.order.iter().enumerate() {
-                    let stg = &self.stages[j];
-                    let t = stage_slot[k];
-                    let mut llpo = slots[t];
-                    hits += batch.load_quiet(&mut llpo, stg.base + (i as u64) * 4, 4);
-                    slots[t] = llpo;
-                    let ok = match &stg.probe {
-                        None => {
-                            instrs += self.costs.per_eval + stg.extra_instructions;
-                            stg.op.eval(i64::from(stg.values[i]), stg.literal)
-                        }
-                        Some(p) => {
-                            let key = stg.values[i] as usize;
-                            debug_assert!(key < p.dim_values.len(), "dangling foreign key");
-                            let tp = probe_slot[k];
-                            let mut pl = slots[tp];
-                            hits += batch.load_quiet(&mut pl, p.dim_base + (key as u64) * 4, 4);
-                            slots[tp] = pl;
-                            instrs += self.costs.per_eval + stg.extra_instructions;
-                            stg.op.eval(i64::from(p.dim_values[key]), stg.literal)
-                        }
-                    };
+            let costs = self.costs;
+            let front = &self.stages[self.order[0]];
+            if self.order.len() == 1 && front.probe.is_none() && self.agg.is_empty() {
+                // Single-selection count scan: every simulated load in the
+                // range belongs to the one stage's stream, so the
+                // sequential touches are accounted in bulk (closed form
+                // for clean spans) and the row loop carries only the
+                // comparison and the two branch events. Loads and
+                // branches drive disjoint simulated state machines, so
+                // hoisting the loads preserves bit-identity; the branch
+                // sequence itself stays in exact row order.
+                let n = (end - start) as u64;
+                let t = stage_slot[0];
+                let mut llpo = slots[t];
+                hits += batch.load_elements_seq(&mut llpo, front.base + (start as u64) * 4, 4, n);
+                slots[t] = llpo;
+                for i in start..end {
+                    let ok = front.op.eval(i64::from(front.values[i]), front.literal);
                     let tk = u64::from(!ok);
-                    let w = batch.branch_hist(&mut hist, stg.site, !ok);
-                    branches += 1;
+                    let w = batch.branch_hist(&mut hist, front.site, !ok);
                     taken_n += tk;
                     mp_taken += w & tk;
                     mp_not_taken += w & (1 - tk);
-                    if !ok {
-                        pass = false;
-                        break;
-                    }
+                    qualified += 1 - tk;
+                    mp_taken += batch.branch_hist(&mut hist, LOOP_BRANCH_SITE, true);
                 }
-                if pass {
-                    qualified += 1;
-                    let mut product = 1i64;
-                    for (k, a) in self.agg.iter().enumerate() {
-                        let t = agg_slot[k];
+                instrs += (costs.loop_overhead + costs.per_eval + front.extra_instructions) * n;
+                branches += 2 * n;
+                taken_n += n;
+            } else {
+                for i in start..end {
+                    instrs += costs.loop_overhead;
+                    let mut pass = true;
+                    for (k, &j) in self.order.iter().enumerate() {
+                        let stg = &self.stages[j];
+                        let t = stage_slot[k];
                         let mut llpo = slots[t];
-                        hits += batch.load_quiet(&mut llpo, a.base + (i as u64) * 4, 4);
+                        hits += batch.load_quiet(&mut llpo, stg.base + (i as u64) * 4, 4);
                         slots[t] = llpo;
-                        instrs += self.costs.per_agg_column;
-                        product *= i64::from(a.values[i]);
+                        let value = match &stg.probe {
+                            None => stg.values[i],
+                            Some(p) => {
+                                let key = stg.values[i] as usize;
+                                debug_assert!(key < p.dim_values.len(), "dangling foreign key");
+                                let tp = probe_slot[k];
+                                let mut pl = slots[tp];
+                                hits += batch.load_quiet(&mut pl, p.dim_base + (key as u64) * 4, 4);
+                                slots[tp] = pl;
+                                p.dim_values[key]
+                            }
+                        };
+                        instrs += costs.per_eval + stg.extra_instructions;
+                        let ok = stg.op.eval(i64::from(value), stg.literal);
+                        let tk = u64::from(!ok);
+                        let w = batch.branch_hist(&mut hist, stg.site, !ok);
+                        branches += 1;
+                        taken_n += tk;
+                        mp_taken += w & tk;
+                        mp_not_taken += w & (1 - tk);
+                        if !ok {
+                            pass = false;
+                            break;
+                        }
                     }
-                    if !self.agg.is_empty() {
-                        sum += product;
+                    if pass {
+                        qualified += 1;
+                        let mut product = 1i64;
+                        for (k, a) in self.agg.iter().enumerate() {
+                            let t = agg_slot[k];
+                            let mut llpo = slots[t];
+                            hits += batch.load_quiet(&mut llpo, a.base + (i as u64) * 4, 4);
+                            slots[t] = llpo;
+                            instrs += costs.per_agg_column;
+                            product *= i64::from(a.values[i]);
+                        }
+                        if !self.agg.is_empty() {
+                            sum += product;
+                        }
                     }
+                    let w = batch.branch_hist(&mut hist, LOOP_BRANCH_SITE, true);
+                    branches += 1;
+                    taken_n += 1;
+                    mp_taken += w;
                 }
-                let w = batch.branch_hist(&mut hist, LOOP_BRANCH_SITE, true);
-                branches += 1;
-                taken_n += 1;
-                mp_taken += w;
             }
             batch.set_history(hist);
             batch.instr(instrs);
@@ -508,6 +643,20 @@ impl<'t> CompiledProgram<'t> {
     /// event. This is the reference semantics the batched
     /// [`CompiledProgram::run_range`] is proptest-pinned against.
     pub fn run_range_scalar(&self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
+        self.run_range_instrumented(cpu, start, end, |_, _, _| {})
+    }
+
+    /// [`CompiledProgram::run_range_scalar`] with `on_eval(cpu, position,
+    /// passed)` called after every stage test and before its branch —
+    /// the hook the invasive enumerator baseline compiles its counter
+    /// updates into.
+    pub(crate) fn run_range_instrumented(
+        &self,
+        cpu: &mut SimCpu,
+        start: usize,
+        end: usize,
+        mut on_eval: impl FnMut(&mut SimCpu, usize, bool),
+    ) -> VectorStats {
         assert!(start <= end && end <= self.rows, "row range out of bounds");
         let before = cpu.counters();
         let mut qualified = 0u64;
@@ -515,8 +664,14 @@ impl<'t> CompiledProgram<'t> {
         for i in start..end {
             cpu.instr(self.costs.loop_overhead);
             let mut pass = true;
-            for &j in &self.order {
-                if !self.stages[j].eval(cpu, i, &self.costs) {
+            for (k, &j) in self.order.iter().enumerate() {
+                let stage = &self.stages[j];
+                let ok = stage.test(cpu, i, &self.costs);
+                on_eval(cpu, k, ok);
+                // Qualifying tuple: fall through (not taken). Failing
+                // tuple: jump past the remaining stage code (taken).
+                cpu.branch(stage.site, !ok);
+                if !ok {
                     pass = false;
                     break;
                 }
@@ -533,6 +688,7 @@ impl<'t> CompiledProgram<'t> {
                     sum += product;
                 }
             }
+            // Loop back-edge: taken every iteration.
             cpu.branch(LOOP_BRANCH_SITE, true);
         }
         let after = cpu.counters();
@@ -544,9 +700,18 @@ impl<'t> CompiledProgram<'t> {
         }
     }
 
-    /// Counter-model geometry for the current evaluation order; same
-    /// contract as `Pipeline::plan_geometry` (`clustering` is per *plan*
-    /// stage, `llc_bytes` the effective last-level capacity).
+    /// Counter-model geometry for the current evaluation order.
+    ///
+    /// `clustering` holds one entry per *plan* stage: the measured
+    /// clustering ratio of that stage's dimension probe (ignored for
+    /// selections; `1.0` = assume uniform random). Line size, predictor
+    /// shape and the private L2 capacity (which gates whether probes reach
+    /// L3 at all) come from `cpu`; `llc_bytes` is the **effective**
+    /// last-level capacity the executing core sees — the full configured
+    /// LLC on a private socket, the contention-shrunken share under a
+    /// shared-socket partition — so the Equation-1 probe predictions price
+    /// contended miss rates. Aggregate columns already read by a stage are
+    /// cache-resident and excluded from the fresh-column list.
     pub fn plan_geometry(
         &self,
         n_input: u64,
@@ -604,8 +769,9 @@ impl<'t> CompiledProgram<'t> {
 
     /// [`CompiledProgram::plan_geometry`] with NUMA-aware probe pricing:
     /// each join stage's probe gains the fraction of its dimension homed
-    /// on a socket other than `socket` under `placement` (see
-    /// `Pipeline::plan_geometry_numa`).
+    /// on a socket other than `socket` under `placement`, so the
+    /// per-socket cost model prices the hop into a remote partition. Both
+    /// inputs are static topology — the geometry stays deterministic.
     pub fn plan_geometry_numa(
         &self,
         n_input: u64,
@@ -746,6 +912,12 @@ mod tests {
             ColumnData::I32((0..n).map(|i| (i % 100) as i32).collect()),
             &mut space,
         );
+        // Co-clustered key: consecutive tuples probe consecutive rows.
+        fact.add_column(
+            "fk_seq",
+            ColumnData::I32((0..n).map(|i| (i * dim_n / n) as i32).collect()),
+            &mut space,
+        );
         let mut dim_space = AddressSpace::new();
         let mut dim = Table::new("dim");
         dim.add_column(
@@ -756,13 +928,27 @@ mod tests {
         (fact, dim)
     }
 
+    /// `val < 50` then a join through `fk` testing `payload = 0`.
+    fn select_then_join<'t>(
+        fact: &'t Table,
+        dim: &'t Table,
+        fk: &str,
+        val_lt: i64,
+    ) -> CompiledProgram<'t> {
+        PlanBuilder::scan(fact)
+            .filter(Expr::col("val").less_than(val_lt))
+            .join(dim, fk, Expr::col("payload").equal_to(0))
+            .build()
+            .compile()
+            .unwrap()
+    }
+
     fn cpu() -> SimCpu {
         SimCpu::new(popt_cpu::CpuConfig::tiny_test())
     }
 
     #[test]
-    fn lowering_matches_the_boxed_executor_exactly() {
-        use crate::exec::pipeline::{FilterOp, Pipeline};
+    fn join_program_matches_host_evaluation_and_counter_identities() {
         let (fact, dim) = tables(4000, 128);
         let program = PlanBuilder::scan(&fact)
             .filter_costed(Expr::col("val").less_than(50), 30)
@@ -771,22 +957,129 @@ mod tests {
             .build()
             .compile()
             .unwrap();
-        let sel = FilterOp::select(&fact, "val", CompareOp::Lt, 50, 0, 30).unwrap();
-        let join =
-            FilterOp::join_filter(&fact, "fk", &dim, "payload", CompareOp::Eq, 0, 1, 100).unwrap();
-        let pipeline = Pipeline::new(vec![sel, join], fact.rows())
-            .unwrap()
-            .with_aggregate(&fact, "val")
-            .unwrap();
+        let mut c = cpu();
+        let stats = program.run_range(&mut c, 0, 4000);
 
-        let mut c1 = cpu();
-        let a = program.run_range(&mut c1, 0, 4000);
-        let mut c2 = cpu();
-        let b = pipeline.run_range(&mut c2, 0, 4000);
-        assert_eq!(a.qualified, b.qualified);
-        assert_eq!(a.sum, b.sum);
-        assert_eq!(a.counters, b.counters, "bit-identical CPU events");
-        assert_eq!(c1.counters().cycles, c2.counters().cycles);
+        let fk = fact.column("fk").unwrap().data().as_i32().unwrap();
+        let val = fact.column("val").unwrap().data().as_i32().unwrap();
+        let payload = dim.column("payload").unwrap().data().as_i32().unwrap();
+        let first: Vec<usize> = (0..4000).filter(|&i| val[i] < 50).collect();
+        let both: Vec<usize> = first
+            .iter()
+            .copied()
+            .filter(|&i| payload[fk[i] as usize] == 0)
+            .collect();
+        let sum: i64 = both.iter().map(|&i| i64::from(val[i])).sum();
+        assert_eq!(stats.qualified, both.len() as u64);
+        assert_eq!(stats.sum, sum);
+        assert!(stats.sum > 0, "aggregate path must actually sum");
+        assert_eq!(stats.derived_output(), stats.qualified);
+        assert_eq!(
+            stats.counters.branches_not_taken,
+            (first.len() + both.len()) as u64
+        );
+        // Loop overhead, per-eval charges (the selection's 30 extra, the
+        // probe's 6), one aggregate column per qualifying tuple.
+        let costs = InstrCosts::default();
+        let expect = 4000 * costs.loop_overhead
+            + 4000 * (costs.per_eval + 30)
+            + first.len() as u64 * (costs.per_eval + PROBE_INSTRUCTIONS)
+            + both.len() as u64 * costs.per_agg_column;
+        assert_eq!(stats.counters.instructions, expect);
+    }
+
+    #[test]
+    fn join_filter_filters() {
+        let (fact, dim) = tables(1000, 100);
+        let program = PlanBuilder::scan(&fact)
+            .join(&dim, "fk_seq", Expr::col("payload").equal_to(0))
+            .build()
+            .compile()
+            .unwrap();
+        let stats = program.run_range(&mut cpu(), 0, 1000);
+        // payload = key % 2 over evenly spread keys: half qualify.
+        assert_eq!(stats.qualified, 500);
+    }
+
+    #[test]
+    fn coclustered_probe_has_fewer_l3_misses_than_random() {
+        let n = 20_000;
+        // Dimension much larger than the tiny L3 (16 KiB = 4096 values).
+        let (fact, dim) = tables(n, 16_384);
+        let misses = |fk: &str| {
+            let program = PlanBuilder::scan(&fact)
+                .join(&dim, fk, Expr::col("payload").equal_to(0))
+                .build()
+                .compile()
+                .unwrap();
+            program.run_range(&mut cpu(), 0, n).counters.l3_misses
+        };
+        let seq = misses("fk_seq");
+        let rand = misses("fk");
+        assert!(seq * 3 < rand, "seq={seq} rand={rand}");
+    }
+
+    #[test]
+    fn selection_first_is_cheaper_when_the_join_is_random_and_selective() {
+        let n = 20_000;
+        let (fact, dim) = tables(n, 16_384);
+        let mut program = select_then_join(&fact, &dim, "fk", 10);
+        let sel_first = program.run_range(&mut cpu(), 0, n).counters.cycles;
+        program.reorder(&[1, 0]).unwrap();
+        let join_first = program.run_range(&mut cpu(), 0, n).counters.cycles;
+        assert!(sel_first < join_first, "sel {sel_first} join {join_first}");
+    }
+
+    #[test]
+    fn reorder_is_absolute_over_plan_indices() {
+        let (fact, dim) = tables(1000, 100);
+        let mut program = select_then_join(&fact, &dim, "fk_seq", 50);
+        assert_eq!(program.order(), &[0, 1]);
+        program.reorder(&[1, 0]).unwrap();
+        // Re-applying the same permutation is idempotent (plan-index
+        // semantics), not a swap back.
+        program.reorder(&[1, 0]).unwrap();
+        assert_eq!(program.order(), &[1, 0]);
+        assert!(program.stage(1).is_join());
+    }
+
+    #[test]
+    fn plan_geometry_carries_probes_in_evaluation_order() {
+        let (fact, dim) = tables(1000, 100);
+        let mut program = select_then_join(&fact, &dim, "fk", 50);
+        program.reorder(&[1, 0]).unwrap();
+        let cfg = popt_cpu::CpuConfig::tiny_test();
+        let llc = cfg.llc().capacity_bytes;
+        let geom = program.plan_geometry(1000, &cfg, llc, &[1.0, 0.25]);
+        let probe_lines =
+            |g: &PlanGeometry| g.probe(0).expect("front is a join").relation.cache_lines;
+        assert_eq!(geom.predicates(), 2);
+        assert_eq!(probe_lines(&geom), cfg.llc().lines());
+        // A contended share rebinds the probe's Equation-1 capacity.
+        let contended = program.plan_geometry(1000, &cfg, llc / 4, &[1.0, 0.25]);
+        assert_eq!(probe_lines(&contended), cfg.llc().lines() / 4);
+        // Join first: probe at position 0 with the join's clustering.
+        let probe = geom.probe(0).expect("join stage has a probe");
+        assert_eq!(probe.relation.relation_tuples, 100);
+        assert!((probe.clustering - 0.25).abs() < 1e-12);
+        assert!(geom.probe(1).is_none());
+        let instr = program.stage_instructions();
+        assert!(
+            instr[0] > instr[1],
+            "probe arithmetic costs extra: {instr:?}"
+        );
+    }
+
+    #[test]
+    fn aggregate_on_unknown_column_is_rejected() {
+        let (fact, _) = tables(100, 10);
+        let err = PlanBuilder::scan(&fact)
+            .filter(Expr::col("val").less_than(50))
+            .aggregate("nope")
+            .build()
+            .compile()
+            .unwrap_err();
+        assert_eq!(err, EngineError::UnknownColumn("nope".into()));
     }
 
     #[test]
@@ -922,21 +1215,34 @@ mod tests {
     }
 
     #[test]
-    fn dangling_foreign_keys_are_rejected_at_lowering() {
-        let mut space = AddressSpace::new();
-        let mut fact = Table::new("fact");
-        fact.add_column("fk", ColumnData::I32(vec![0, 99, 2]), &mut space);
-        let mut dim_space = AddressSpace::new();
-        let mut dim = Table::new("dim");
-        dim.add_column("payload", ColumnData::I32(vec![1; 10]), &mut dim_space);
-        let err = PlanBuilder::scan(&fact)
-            .join(&dim, "fk", Expr::col("payload").equal_to(0))
-            .build()
-            .compile()
-            .unwrap_err();
+    fn dangling_and_negative_foreign_keys_are_rejected_at_lowering() {
+        let lower = |keys: Vec<i32>| {
+            let mut space = AddressSpace::new();
+            let mut fact = Table::new("fact");
+            fact.add_column("fk", ColumnData::I32(keys), &mut space);
+            let mut dim_space = AddressSpace::new();
+            let mut dim = Table::new("dim");
+            dim.add_column("payload", ColumnData::I32(vec![1; 10]), &mut dim_space);
+            PlanBuilder::scan(&fact)
+                .join(&dim, "fk", Expr::col("payload").equal_to(0))
+                .build()
+                .compile()
+                .map(|_| ())
+                .unwrap_err()
+        };
+        let err = lower(vec![0, 99, 2]);
         assert!(
             matches!(err, EngineError::ForeignKeyOutOfRange { key: 99, .. }),
             "{err:?}"
+        );
+        // A negative key would wrap through `as usize` in the hot loop.
+        assert_eq!(
+            lower(vec![0, 3, -1, 2]),
+            EngineError::ForeignKeyOutOfRange {
+                column: "fk".into(),
+                key: -1,
+                dim_rows: 10,
+            }
         );
     }
 
@@ -979,5 +1285,139 @@ mod tests {
             b.compile().unwrap()
         };
         assert_eq!(plain.hot_set_bytes(), projected.hot_set_bytes());
+    }
+
+    /// Selection plans lowered through [`crate::plan::SelectionPlan::compile`].
+    mod selection {
+        use super::*;
+        use crate::plan::SelectionPlan;
+        use crate::predicate::Predicate;
+
+        fn test_table(n: usize) -> Table {
+            let mut space = AddressSpace::new();
+            let mut t = Table::new("t");
+            // a: 0..n cyclic mod 100; b: constant blocks; agg: all twos.
+            t.add_column(
+                "a",
+                ColumnData::I32((0..n).map(|i| (i % 100) as i32).collect()),
+                &mut space,
+            );
+            t.add_column(
+                "b",
+                ColumnData::I32((0..n).map(|i| (i / 100 % 10) as i32).collect()),
+                &mut space,
+            );
+            t.add_column("agg", ColumnData::I32(vec![2; n]), &mut space);
+            t
+        }
+
+        fn plan() -> SelectionPlan {
+            SelectionPlan::new(
+                vec![
+                    Predicate::new("a", CompareOp::Lt, 50),
+                    Predicate::new("b", CompareOp::Lt, 5),
+                ],
+                vec!["agg".into()],
+            )
+            .unwrap()
+        }
+
+        fn run(t: &Table, plan: &SelectionPlan, peo: &[usize], rows: usize) -> VectorStats {
+            plan.compile(t, peo).unwrap().run_range(&mut cpu(), 0, rows)
+        }
+
+        #[test]
+        fn counts_and_counter_identities_are_exact() {
+            let t = test_table(1000);
+            let stats = run(&t, &plan(), &[0, 1], 1000);
+            // a < 50: 50%, b < 5: 50%, independent by construction.
+            assert_eq!(stats.qualified, 250);
+            assert_eq!(stats.sum, 500); // 2 per qualifying tuple
+            assert_eq!(stats.derived_output(), stats.qualified);
+            // Survivors: after a < 50 -> 500; after b < 5 -> 250.
+            assert_eq!(stats.counters.branches_not_taken, 750);
+            // Failures: 500 at a, 250 at b; loop: 1000.
+            assert_eq!(stats.counters.branches_taken, 500 + 250 + 1000);
+            let s = stats.sampled_counters();
+            assert_eq!(s.n_input, 1000);
+            assert_eq!(s.n_output, stats.qualified);
+            assert_eq!(s.bnt, stats.counters.branches_not_taken);
+        }
+
+        #[test]
+        fn result_is_peo_invariant_and_short_circuits() {
+            let t = test_table(2000);
+            let s01 = run(&t, &plan(), &[0, 1], 2000);
+            let s10 = run(&t, &plan(), &[1, 0], 2000);
+            assert_eq!((s01.qualified, s01.sum), (s10.qualified, s10.sum));
+            // Order a-first reads a 2000x, b 1000x, agg 500x.
+            let loads = s01.counters.l1_accesses + s01.counters.l1_element_hits;
+            assert_eq!(loads, 2000 + 1000 + 500);
+        }
+
+        #[test]
+        fn lowering_rejects_bad_plans() {
+            let t = test_table(10);
+            let bad =
+                SelectionPlan::new(vec![Predicate::new("nope", CompareOp::Lt, 1)], vec![]).unwrap();
+            assert_eq!(
+                bad.compile(&t, &[0]).unwrap_err(),
+                EngineError::UnknownColumn("nope".into())
+            );
+            assert!(matches!(
+                plan().compile(&t, &[0, 0]).unwrap_err(),
+                EngineError::InvalidPeo { .. }
+            ));
+            let mut space = AddressSpace::new();
+            let mut wide = Table::new("t");
+            wide.add_column("w", ColumnData::I64(vec![1, 2, 3]), &mut space);
+            let p =
+                SelectionPlan::new(vec![Predicate::new("w", CompareOp::Lt, 2)], vec![]).unwrap();
+            assert_eq!(
+                p.compile(&wide, &[0]).unwrap_err(),
+                EngineError::UnsupportedColumnType("w".into())
+            );
+        }
+
+        #[test]
+        fn predicate_index_is_stage_index_and_branch_site() {
+            let t = test_table(10);
+            let program = plan().compile(&t, &[1, 0]).unwrap();
+            assert_eq!(program.order(), &[1, 0]);
+            assert_eq!(program.stage(0).literal(), 50);
+            assert_eq!(program.stage(1).compare_op(), CompareOp::Lt);
+            assert_eq!(program.stage(1).site, BranchSite(1));
+        }
+
+        #[test]
+        fn empty_range_is_empty_stats() {
+            let t = test_table(100);
+            let program = plan().compile(&t, &[0, 1]).unwrap();
+            let stats = program.run_range(&mut cpu(), 50, 50);
+            assert_eq!(stats.tuples, 0);
+            assert_eq!(stats.qualified, 0);
+            assert_eq!(stats.counters.branches, 0);
+        }
+
+        #[test]
+        fn expensive_predicate_costs_more() {
+            let t = test_table(1000);
+            let mut expensive = plan();
+            expensive.predicates[0].extra_instructions = 100;
+            let s1 = run(&t, &plan(), &[0, 1], 1000);
+            let s2 = run(&t, &expensive, &[0, 1], 1000);
+            assert!(s2.counters.cycles > s1.counters.cycles);
+            assert_eq!(s1.qualified, s2.qualified);
+        }
+
+        #[test]
+        fn count_only_plan_has_zero_sum() {
+            let t = test_table(100);
+            let p =
+                SelectionPlan::new(vec![Predicate::new("a", CompareOp::Lt, 50)], vec![]).unwrap();
+            let stats = run(&t, &p, &[0], 100);
+            assert_eq!(stats.sum, 0);
+            assert_eq!(stats.qualified, 50);
+        }
     }
 }

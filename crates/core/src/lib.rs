@@ -14,19 +14,17 @@
 //!   extraction, filter pushdown, projection pruning), and lowering to
 //!   the compiled flat stage form ([`exec::program::CompiledProgram`])
 //!   the progressive runtime reorders with a cheap permutation re-emit;
-//! * [`exec`] — the "compiled" scan loop (the short-circuit branch
-//!   code of Section 2.1 driven against the simulated CPU), the foreign-key
-//!   join-filter operator, and the invasive enumerator baseline of
-//!   Section 5.7;
+//! * [`exec`] — the one executor: the compiled short-circuit loop of
+//!   Section 2.1 over a flat table of selection and foreign-key
+//!   join-filter stages, driven against the simulated CPU, plus the
+//!   invasive enumerator baseline of Section 5.7;
 //! * [`progressive`] — the progressive optimization loop of Figure 10:
 //!   sample counters per vector, estimate selectivities, reorder, trial,
-//!   revert on regression. The loop is executor-agnostic
-//!   ([`progressive::ProgressiveTarget`]): it drives both the
-//!   multi-selection scan and — via
-//!   [`progressive::run_progressive_pipeline`] — mixed
-//!   selection/join-filter pipelines, where stages are ranked by estimated
-//!   cost per input tuple and probe locality is calibrated from the
-//!   counters (Sections 5.5–5.6);
+//!   revert on regression. Every query lowers to one compiled program
+//!   and one loop drives it ([`progressive::run_progressive_program`];
+//!   [`progressive::run_progressive`] lowers a selection plan first):
+//!   stages are ranked by estimated cost per input tuple and probe
+//!   locality is calibrated from the counters (Sections 5.5–5.6);
 //! * [`parallel`] — morsel-driven parallel execution with *shared*
 //!   progressive reoptimization: worker threads drive independent
 //!   simulated cores over cache-friendly morsels, per-worker counter
@@ -68,22 +66,17 @@ pub mod serve;
 pub mod sortedness;
 
 pub use error::EngineError;
-pub use exec::pipeline::{FilterOp, Pipeline};
 pub use exec::program::{CompiledProgram, CompiledStage};
 pub use observe::ExecObservers;
 pub use parallel::{
-    run_parallel_pipeline, run_parallel_pipeline_observed, run_parallel_program,
-    run_parallel_program_observed, run_parallel_program_traced, run_parallel_scan,
-    run_parallel_scan_traced, run_parallel_target, run_parallel_target_observed,
-    run_parallel_target_traced, MorselConfig, MorselDispatcher, ParallelReport, ShardableTarget,
-    TargetShard,
+    run_parallel_program, run_parallel_program_observed, run_parallel_scan, MorselConfig,
+    MorselDispatcher, ParallelReport,
 };
 pub use plan::{Expr, LogicalNode, LogicalPlan, PassRegistry, Peo, PlanBuilder, SelectionPlan};
 pub use predicate::{CompareOp, Predicate};
 pub use progressive::{
-    run_baseline, run_progressive, run_progressive_pipeline, run_progressive_program,
-    run_progressive_program_observed, run_progressive_target, run_progressive_target_observed,
-    CompiledTarget, ProgressiveConfig, ProgressiveReport, ProgressiveTarget, VectorConfig,
+    run_baseline, run_progressive, run_progressive_program, run_progressive_program_observed,
+    ProgressiveConfig, ProgressiveReport, VectorConfig,
 };
 pub use query::{QueryBuilder, QueryReport, RunMode};
 pub use serve::{

@@ -7,12 +7,13 @@
 //! cycles it attributes to stage/optimizer/idle lanes sum bit-exactly to
 //! the wall cycles the run reports (pinned by `tests/proptest_obs.rs`).
 //!
-//! [`ExecObservers`] is the carrier every `*_observed` entry point takes
-//! ([`run_progressive_target_observed`], [`run_parallel_target_observed`]
-//! and friends); the plain entry points pass [`ExecObservers::none`].
+//! [`ExecObservers`] is the carrier the `*_observed` entry points take
+//! ([`run_progressive_program_observed`],
+//! [`run_parallel_program_observed`]); the plain entry points pass
+//! [`ExecObservers::none`].
 //!
-//! [`run_progressive_target_observed`]: crate::progressive::run_progressive_target_observed
-//! [`run_parallel_target_observed`]: crate::parallel::run_parallel_target_observed
+//! [`run_progressive_program_observed`]: crate::progressive::run_progressive_program_observed
+//! [`run_parallel_program_observed`]: crate::parallel::run_parallel_program_observed
 
 use std::sync::Arc;
 
@@ -21,7 +22,7 @@ use popt_cost::estimate::{estimate_counters, PlanGeometry};
 use popt_obs::{apportion, DriftObservatory, Profiler, Tracer};
 use popt_solver::SampledCounters;
 
-use crate::exec::scan::VectorStats;
+use crate::exec::program::VectorStats;
 
 /// The observers a run carries. All optional, all non-invasive; the
 /// default carries none and is bit-identical to not observing at all.

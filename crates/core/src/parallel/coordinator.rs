@@ -30,7 +30,7 @@
 //! methods are each a *locked step* of the protocol (the caller holds
 //! whatever mutex guards the state; the expensive Nelder–Mead estimate
 //! always runs between two locked steps, outside the lock). This module
-//! drives one `CoordState` per query via [`run_parallel_target`]; the
+//! drives one `CoordState` per query via [`run_parallel_program`]; the
 //! serving layer (`crate::serve`) drives many concurrently — one per
 //! admitted query — multiplexed over the same pool.
 
@@ -44,16 +44,14 @@ use popt_obs::{DriftObservatory, MetricsRegistry, TraceEvent, Tracer};
 use popt_solver::{estimate_selectivities, EstimateResult, SampledCounters};
 
 use crate::error::EngineError;
-use crate::exec::pipeline::Pipeline;
-use crate::exec::scan::VectorStats;
+use crate::exec::program::{CompiledProgram, VectorStats};
 use crate::observe::{front_stage_key, morsel_stage_parts, record_fit_drift, ExecObservers};
 use crate::plan::{Peo, SelectionPlan};
 use popt_storage::Table;
 
-use crate::progressive::{PipelineTarget, ProgressiveConfig, ScanTarget, SwitchEvent};
+use crate::progressive::{CompiledTarget, ProgressiveConfig, SwitchEvent};
 
 use super::morsel::{MorselConfig, MorselDispatcher};
-use super::{ShardableTarget, TargetShard};
 
 /// Outcome of a morsel-driven parallel execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -240,10 +238,10 @@ impl SocketCoord {
 /// first re-establishes `s`'s published (or trial) order on the target;
 /// cross-socket interleaving between locked steps can therefore never
 /// leak one socket's order into another's fit.
-pub(crate) struct CoordState<'a, T> {
+pub(crate) struct CoordState<'a, 't> {
     /// The master target: order tracking plus the shared estimator model
     /// (probe clustering, proposal logic). Never executes a morsel.
-    pub(crate) target: &'a mut T,
+    pub(crate) target: &'a mut CompiledTarget<'t>,
     /// Per-socket coordination slices.
     sockets: Vec<SocketCoord>,
     /// Socket of each worker (contiguous blocks, `CpuPool::socket_of`).
@@ -272,11 +270,15 @@ pub(crate) struct CoordState<'a, T> {
     stage_keys: Vec<u64>,
 }
 
-impl<'a, T: ShardableTarget> CoordState<'a, T> {
+impl<'a, 't> CoordState<'a, 't> {
     /// Fresh single-socket coordination state over `target`'s current
     /// order, for a pool of `workers` workers whose cores give this
     /// query an effective LLC capacity of `llc_share_bytes`.
-    pub(crate) fn new(target: &'a mut T, workers: usize, llc_share_bytes: u64) -> Self {
+    pub(crate) fn new(
+        target: &'a mut CompiledTarget<'t>,
+        workers: usize,
+        llc_share_bytes: u64,
+    ) -> Self {
         Self::with_topology(
             target,
             vec![0; workers],
@@ -290,13 +292,13 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
     /// capacity per socket, and `placement` prices remote probes. Every
     /// socket starts from the target's current order.
     pub(crate) fn with_topology(
-        target: &'a mut T,
+        target: &'a mut CompiledTarget<'t>,
         socket_of: Vec<usize>,
         llc_shares: Vec<u64>,
         placement: NumaPlacement,
     ) -> Self {
         let published = target.order();
-        let stage_keys = target.stage_keys();
+        let stage_keys = target.program().stage_keys();
         let workers = socket_of.len();
         Self {
             target,
@@ -422,7 +424,7 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
             .expect("a leased trial to resolve")
             .order
             .clone();
-        if self.target.wants_trial_calibration() {
+        if self.target.calibrates() {
             let sampled = stats.sampled_counters();
             self.target.set_order(&trial_order)?;
             let geom = self.geometry(s, sampled.n_input, cpu_cfg);
@@ -794,21 +796,21 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
 /// server lock. The trial/reopt choreography is written once against
 /// this trait ([`trial_round`] / [`normal_round`]) so the two executors
 /// cannot drift apart.
-pub(crate) trait WithCoord<'a, T> {
+pub(crate) trait WithCoord<'a, 't> {
     /// Run `f` with the coordination state locked.
-    fn with<R>(&self, f: impl FnOnce(&mut CoordState<'a, T>) -> R) -> R;
+    fn with<R>(&self, f: impl FnOnce(&mut CoordState<'a, 't>) -> R) -> R;
 }
 
 /// [`CoordState`] plus the error slot the workers of a dedicated-pool
 /// run share (the serving layer keeps its error slot in the scheduler
 /// state instead, one per server).
-struct SharedState<'a, T> {
-    coord: CoordState<'a, T>,
+struct SharedState<'a, 't> {
+    coord: CoordState<'a, 't>,
     error: Option<EngineError>,
 }
 
-impl<'a, T> WithCoord<'a, T> for Mutex<SharedState<'a, T>> {
-    fn with<R>(&self, f: impl FnOnce(&mut CoordState<'a, T>) -> R) -> R {
+impl<'a, 't> WithCoord<'a, 't> for Mutex<SharedState<'a, 't>> {
+    fn with<R>(&self, f: impl FnOnce(&mut CoordState<'a, 't>) -> R) -> R {
         f(&mut self.lock().expect("coordinator lock").coord)
     }
 }
@@ -820,8 +822,8 @@ impl<'a, T> WithCoord<'a, T> for Mutex<SharedState<'a, T>> {
 /// track a wall-clock position fold them in; the dedicated-pool
 /// executor reads the per-worker totals from the state at the end and
 /// discards the delta).
-pub(crate) fn trial_round<'a, T: ShardableTarget>(
-    coord: &impl WithCoord<'a, T>,
+pub(crate) fn trial_round<'a, 't>(
+    coord: &impl WithCoord<'a, 't>,
     w: usize,
     stats: &VectorStats,
     cfg: &ProgressiveConfig,
@@ -845,8 +847,8 @@ pub(crate) fn trial_round<'a, T: ShardableTarget>(
 /// opening a reopt round), unlocked estimate, locked calibration +
 /// proposal. Returns the optimizer cycles charged to worker `w` (zero
 /// when no round ran).
-pub(crate) fn normal_round<'a, T: ShardableTarget>(
-    coord: &impl WithCoord<'a, T>,
+pub(crate) fn normal_round<'a, 't>(
+    coord: &impl WithCoord<'a, 't>,
     w: usize,
     epoch: u64,
     stats: &VectorStats,
@@ -876,8 +878,10 @@ enum MorselMode {
 }
 
 /// Execute `plan` over `table` with morsel-driven parallelism across the
-/// pool's cores, optionally with shared progressive reoptimization.
-/// The parallel generalization of [`crate::progressive::run_baseline`] /
+/// pool's cores, optionally with shared progressive reoptimization: the
+/// plan is lowered to a [`CompiledProgram`] and run through
+/// [`run_parallel_program`]. The parallel generalization of
+/// [`crate::progressive::run_baseline`] /
 /// [`crate::progressive::run_progressive`].
 pub fn run_parallel_scan(
     table: &Table,
@@ -887,75 +891,8 @@ pub fn run_parallel_scan(
     pool: &mut CpuPool,
     reopt: Option<&ProgressiveConfig>,
 ) -> Result<ParallelReport, EngineError> {
-    let mut target = ScanTarget::new(table, plan, initial_peo)?;
-    run_parallel_target(&mut target, morsels, pool, reopt)
-}
-
-/// [`run_parallel_scan`] with the run's decisions traced into `tracer`.
-/// Tracing is non-invasive: the report is bit-identical to the untraced
-/// run's.
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_scan_traced(
-    table: &Table,
-    plan: &SelectionPlan,
-    initial_peo: &[usize],
-    morsels: MorselConfig,
-    pool: &mut CpuPool,
-    reopt: Option<&ProgressiveConfig>,
-    tracer: &Arc<Tracer>,
-    query: usize,
-) -> Result<ParallelReport, EngineError> {
-    let mut target = ScanTarget::new(table, plan, initial_peo)?;
-    run_parallel_target_traced(&mut target, morsels, pool, reopt, tracer, query)
-}
-
-/// Execute a filter pipeline with morsel-driven parallelism, optionally
-/// with shared progressive operator reordering. The pipeline is left in
-/// the final accepted order. The parallel generalization of
-/// [`crate::progressive::run_progressive_pipeline`].
-pub fn run_parallel_pipeline(
-    pipeline: &mut Pipeline<'_>,
-    initial_order: &[usize],
-    morsels: MorselConfig,
-    pool: &mut CpuPool,
-    reopt: Option<&ProgressiveConfig>,
-) -> Result<ParallelReport, EngineError> {
-    pipeline.reorder(initial_order)?;
-    let mut target = PipelineTarget::new(pipeline);
-    run_parallel_target(&mut target, morsels, pool, reopt)
-}
-
-/// [`run_parallel_pipeline`] with observers attached (see
-/// [`ExecObservers`]); every observer is non-invasive — the report is
-/// bit-identical to the unobserved run's.
-pub fn run_parallel_pipeline_observed(
-    pipeline: &mut Pipeline<'_>,
-    initial_order: &[usize],
-    morsels: MorselConfig,
-    pool: &mut CpuPool,
-    reopt: Option<&ProgressiveConfig>,
-    obs: &ExecObservers,
-) -> Result<ParallelReport, EngineError> {
-    pipeline.reorder(initial_order)?;
-    let mut target = PipelineTarget::new(pipeline);
-    run_parallel_target_inner(&mut target, morsels, pool, reopt, obs)
-}
-
-/// [`run_parallel_pipeline`] with the run's decisions traced into
-/// `tracer`. Tracing is non-invasive: the report is bit-identical to the
-/// untraced run's.
-pub fn run_parallel_pipeline_traced(
-    pipeline: &mut Pipeline<'_>,
-    initial_order: &[usize],
-    morsels: MorselConfig,
-    pool: &mut CpuPool,
-    reopt: Option<&ProgressiveConfig>,
-    tracer: &Arc<Tracer>,
-    query: usize,
-) -> Result<ParallelReport, EngineError> {
-    pipeline.reorder(initial_order)?;
-    let mut target = PipelineTarget::new(pipeline);
-    run_parallel_target_traced(&mut target, morsels, pool, reopt, tracer, query)
+    let mut program = plan.compile(table, initial_peo)?;
+    run_parallel_program(&mut program, initial_peo, morsels, pool, reopt)
 }
 
 /// Execute a compiled program with morsel-driven parallelism, optionally
@@ -963,111 +900,50 @@ pub fn run_parallel_pipeline_traced(
 /// the final accepted order. The parallel generalization of
 /// [`crate::progressive::run_progressive_program`].
 pub fn run_parallel_program(
-    program: &mut crate::exec::program::CompiledProgram<'_>,
+    program: &mut CompiledProgram<'_>,
     initial_order: &[usize],
     morsels: MorselConfig,
     pool: &mut CpuPool,
     reopt: Option<&ProgressiveConfig>,
 ) -> Result<ParallelReport, EngineError> {
-    program.reorder(initial_order)?;
-    let mut target = crate::progressive::CompiledTarget::new(program);
-    run_parallel_target(&mut target, morsels, pool, reopt)
+    run_parallel_program_observed(
+        program,
+        initial_order,
+        morsels,
+        pool,
+        reopt,
+        &ExecObservers::none(),
+    )
 }
 
-/// [`run_parallel_program`] with the run's decisions traced into
-/// `tracer`. Tracing is non-invasive: the report is bit-identical to the
-/// untraced run's.
-pub fn run_parallel_program_traced(
-    program: &mut crate::exec::program::CompiledProgram<'_>,
-    initial_order: &[usize],
-    morsels: MorselConfig,
-    pool: &mut CpuPool,
-    reopt: Option<&ProgressiveConfig>,
-    tracer: &Arc<Tracer>,
-    query: usize,
-) -> Result<ParallelReport, EngineError> {
-    program.reorder(initial_order)?;
-    let mut target = crate::progressive::CompiledTarget::new(program);
-    run_parallel_target_traced(&mut target, morsels, pool, reopt, tracer, query)
-}
-
-/// [`run_parallel_program`] with observers attached (see
-/// [`ExecObservers`]); every observer is non-invasive — the report is
-/// bit-identical to the unobserved run's.
-pub fn run_parallel_program_observed(
-    program: &mut crate::exec::program::CompiledProgram<'_>,
-    initial_order: &[usize],
-    morsels: MorselConfig,
-    pool: &mut CpuPool,
-    reopt: Option<&ProgressiveConfig>,
-    obs: &ExecObservers,
-) -> Result<ParallelReport, EngineError> {
-    program.reorder(initial_order)?;
-    let mut target = crate::progressive::CompiledTarget::new(program);
-    run_parallel_target_inner(&mut target, morsels, pool, reopt, obs)
-}
-
-/// Drive any range-shardable progressive target across the pool.
-pub fn run_parallel_target<T>(
-    target: &mut T,
-    morsels: MorselConfig,
-    pool: &mut CpuPool,
-    reopt: Option<&ProgressiveConfig>,
-) -> Result<ParallelReport, EngineError>
-where
-    T: ShardableTarget + Send,
-{
-    run_parallel_target_inner(target, morsels, pool, reopt, &ExecObservers::none())
-}
-
-/// [`run_parallel_target`] with every decision traced into `tracer`,
-/// tagged with `query`. The tracer's sink hangs outside the
-/// simulated-cost path, so the returned report is bit-identical to the
-/// untraced run's.
-pub fn run_parallel_target_traced<T>(
-    target: &mut T,
-    morsels: MorselConfig,
-    pool: &mut CpuPool,
-    reopt: Option<&ProgressiveConfig>,
-    tracer: &Arc<Tracer>,
-    query: usize,
-) -> Result<ParallelReport, EngineError>
-where
-    T: ShardableTarget + Send,
-{
-    let obs = ExecObservers::none().with_trace(Arc::clone(tracer), query);
-    run_parallel_target_inner(target, morsels, pool, reopt, &obs)
-}
-
-/// [`run_parallel_target`] with any combination of observers attached:
+/// [`run_parallel_program`] with any combination of observers attached:
 /// tracer, per-stage cycle profiler, model-drift observatory. All
 /// non-invasive — the report is bit-identical to the unobserved run's,
 /// and the profiler's attributed cycles sum bit-exactly to the pool's
 /// per-worker wall cycles (stage + optimizer lanes per worker equal that
 /// worker's entry in `per_worker_cycles`; idle pads to the fleet wall).
-pub fn run_parallel_target_observed<T>(
-    target: &mut T,
+pub fn run_parallel_program_observed(
+    program: &mut CompiledProgram<'_>,
+    initial_order: &[usize],
     morsels: MorselConfig,
     pool: &mut CpuPool,
     reopt: Option<&ProgressiveConfig>,
     obs: &ExecObservers,
-) -> Result<ParallelReport, EngineError>
-where
-    T: ShardableTarget + Send,
-{
-    run_parallel_target_inner(target, morsels, pool, reopt, obs)
+) -> Result<ParallelReport, EngineError> {
+    program.reorder(initial_order)?;
+    let mut target = CompiledTarget::new(program.clone());
+    let report = run_parallel(&mut target, morsels, pool, reopt, obs)?;
+    *program = target.into_program();
+    Ok(report)
 }
 
-fn run_parallel_target_inner<T>(
-    target: &mut T,
+fn run_parallel(
+    target: &mut CompiledTarget<'_>,
     morsels: MorselConfig,
     pool: &mut CpuPool,
     reopt: Option<&ProgressiveConfig>,
     obs: &ExecObservers,
-) -> Result<ParallelReport, EngineError>
-where
-    T: ShardableTarget + Send,
-{
+) -> Result<ParallelReport, EngineError> {
     if let Some(cfg) = reopt {
         if cfg.reop_interval == 0 {
             return Err(EngineError::InvalidVectorConfig("reop_interval = 0".into()));
@@ -1079,8 +955,12 @@ where
     // contiguous morsel range (HyPer-style), via per-socket claim
     // counters that stay host-schedule-independent. One socket reduces
     // exactly to the flat round-robin interleave.
-    let dispatcher =
-        MorselDispatcher::with_affinity(target.rows(), morsels.morsel_tuples, workers, sockets)?;
+    let dispatcher = MorselDispatcher::with_affinity(
+        target.program().rows(),
+        morsels.morsel_tuples,
+        workers,
+        sockets,
+    )?;
     let cpu_cfg = pool.config().clone();
     let freq = cpu_cfg.timing.frequency_ghz;
 
@@ -1090,7 +970,7 @@ where
     // footprints, so per-core cycles stay host-independent — and every
     // estimator fit below prices against the (conservative, per-socket
     // minimum) share instead of the configured socket capacity.
-    pool.declare_footprints(&vec![target.hot_set_bytes(); workers]);
+    pool.declare_footprints(&vec![target.program().hot_set_bytes(); workers]);
     let llc_shares: Vec<u64> = (0..sockets)
         .map(|s| pool.min_effective_llc_bytes_socket(s))
         .collect();
@@ -1112,15 +992,10 @@ where
         });
     }
 
-    let mut shards = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        shards.push(target.shard()?);
-    }
+    let shards = vec![target.program().clone(); workers];
 
-    // Observation-only inputs the workers need outside the lock: the
-    // initial order every shard starts under and the plan-indexed
-    // profiling weights (order-independent by construction).
-    let initial_order = target.order();
+    // Observation-only input the workers need outside the lock: the
+    // plan-indexed profiling weights (order-independent by construction).
     let plan_weights = target.stage_profile_weights();
 
     let worker_socket = socket_of.clone();
@@ -1149,7 +1024,6 @@ where
                 let state = &state;
                 let cpu_cfg = &cpu_cfg;
                 let socket = worker_socket[w];
-                let initial_order = &initial_order;
                 let plan_weights = &plan_weights;
                 scope.spawn(move || {
                     worker_loop(
@@ -1162,7 +1036,6 @@ where
                         reopt,
                         cpu_cfg,
                         obs,
-                        initial_order,
                         plan_weights,
                     )
                 })
@@ -1243,23 +1116,18 @@ where
 /// trial itself) keeps concurrent rounds exclusive — so one worker's
 /// optimizer round never stalls the rest of the pool in host time.
 #[allow(clippy::too_many_arguments)]
-fn worker_loop<T, S>(
+fn worker_loop(
     w: usize,
     socket: usize,
     core: &mut SimCpu,
-    shard: &mut S,
+    shard: &mut CompiledProgram<'_>,
     dispatcher: &MorselDispatcher,
-    state: &Mutex<SharedState<'_, T>>,
+    state: &Mutex<SharedState<'_, '_>>,
     reopt: Option<&ProgressiveConfig>,
     cpu_cfg: &CpuConfig,
     obs: &ExecObservers,
-    initial_order: &[usize],
     plan_weights: &[f64],
-) -> (VectorStats, u64)
-where
-    T: ShardableTarget,
-    S: TargetShard,
-{
+) -> (VectorStats, u64) {
     let cycles_before = core.counters().cycles;
     let mut total = VectorStats::zero();
     let mut local_epoch = 0u64;
@@ -1268,10 +1136,6 @@ where
     // of the simulation — the tracer's lane clock follows it, so stamps
     // never depend on host time.
     let mut opt_total = 0u64;
-    // The order the shard is currently chained under, mirrored locally
-    // for profiler attribution (shards expose no order accessor, and the
-    // coordinator's view can move between this worker's boundaries).
-    let mut cur_order = initial_order.to_vec();
     while let Some((start, end)) = dispatcher.next(w) {
         // Boundary sync: adopt the published order, or lease a pending
         // trial so the candidate runs on exactly this core.
@@ -1284,19 +1148,17 @@ where
         };
         let mode = match action {
             BoundaryAction::Trial(order) => {
-                if let Err(err) = shard.set_order(&order) {
+                if let Err(err) = shard.reorder(&order) {
                     state.lock().expect("coordinator lock").error = Some(err);
                     break;
                 }
-                cur_order = order;
                 MorselMode::Trial
             }
             BoundaryAction::Adopt { order, epoch } => {
-                if let Err(err) = shard.set_order(&order) {
+                if let Err(err) = shard.reorder(&order) {
                     state.lock().expect("coordinator lock").error = Some(err);
                     break;
                 }
-                cur_order = order;
                 local_epoch = epoch;
                 MorselMode::Normal { epoch }
             }
@@ -1308,7 +1170,9 @@ where
         total.accumulate(&stats);
 
         if let Some(prof) = &obs.profiler {
-            let parts = morsel_stage_parts(&cur_order, plan_weights, &stats);
+            // The shard's own order: the coordinator's view can move
+            // between this worker's boundaries.
+            let parts = morsel_stage_parts(shard.order(), plan_weights, &stats);
             prof.record_morsel(w, socket, start_pos, &parts);
         }
 
@@ -1344,8 +1208,7 @@ where
                         prof.record_optimizer(w, socket, round_pos, opt);
                     }
                     opt_total += opt;
-                    shard.set_order(&published)?;
-                    cur_order = published;
+                    shard.reorder(&published)?;
                     local_epoch = epoch;
                     Ok(())
                 })

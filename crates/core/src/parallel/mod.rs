@@ -13,7 +13,7 @@
 //!   division) claimed lazily by real `std::thread` workers — placement
 //!   independent of host scheduling, so simulated per-core cycle counts
 //!   are reproducible on any machine;
-//! * a progressive **coordinator** ([`run_parallel_target`]) that
+//! * a progressive **coordinator** ([`run_parallel_program`]) that
 //!   generalizes the serial `run_progressive*` runners to N workers:
 //!   per-worker counter samples are fused into one pool-wide estimate,
 //!   accepted operator orders are epoch-published (workers re-chain
@@ -21,14 +21,13 @@
 //!   trial / measurement-probe orders are leased to exactly one worker
 //!   so a bad candidate never runs on more than one core.
 //!
-//! What makes a target parallelizable is [`ShardableTarget`]: on top of
-//! the serial [`ProgressiveTarget`] contract (order proposal, geometry,
-//! calibration — the *model* side, owned by the coordinator), it can
-//! mint per-worker [`TargetShard`]s (the *execution* side: an
-//! independently order-switchable executor over the same immutable
-//! data). Both built-in targets — the multi-selection scan and the
-//! mixed selection/join-filter pipeline — are shardable, via
-//! [`run_parallel_scan`] and [`run_parallel_pipeline`].
+//! The coordinator keeps one *master* target — the shared estimator
+//! model (order proposal, geometry, probe calibration) — while every
+//! worker executes its own clone of the [`crate::exec::CompiledProgram`]
+//! over the same immutable column data (the stage table borrows the
+//! columns, so the clone is cheap and re-chaining is a permutation
+//! re-emit). A selection plan runs through [`run_parallel_scan`], which
+//! lowers it first.
 //!
 //! Results are bit-identical to the single-core executor for any worker
 //! count and morsel size: qualifying counts and aggregate sums are
@@ -69,112 +68,6 @@ pub mod coordinator;
 pub mod morsel;
 
 pub use coordinator::{
-    run_parallel_pipeline, run_parallel_pipeline_observed, run_parallel_pipeline_traced,
-    run_parallel_program, run_parallel_program_observed, run_parallel_program_traced,
-    run_parallel_scan, run_parallel_scan_traced, run_parallel_target, run_parallel_target_observed,
-    run_parallel_target_traced, ParallelReport,
+    run_parallel_program, run_parallel_program_observed, run_parallel_scan, ParallelReport,
 };
 pub use morsel::{MorselConfig, MorselDispatcher};
-
-use popt_cpu::SimCpu;
-
-use crate::error::EngineError;
-use crate::exec::pipeline::Pipeline;
-use crate::exec::program::CompiledProgram;
-use crate::exec::scan::VectorStats;
-use crate::progressive::{CompiledTarget, PipelineTarget, ProgressiveTarget, ScanTarget};
-
-/// A per-worker executor: the execution half of a progressive target,
-/// runnable over arbitrary row ranges and switchable to any published
-/// order at a morsel boundary. Shards are `Send` (they move into worker
-/// threads) and share only immutable column data.
-pub trait TargetShard: Send {
-    /// Re-chain to `order` (a permutation of plan/stage indices).
-    fn set_order(&mut self, order: &[usize]) -> Result<(), EngineError>;
-
-    /// Execute rows `start..end` on the worker's private core.
-    fn run_range(&mut self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats;
-}
-
-/// A progressive target whose execution can be sharded across workers:
-/// the master instance keeps the shared estimator model (geometry,
-/// order proposal, probe calibration) while [`ShardableTarget::shard`]
-/// mints independent executors over the same immutable data.
-pub trait ShardableTarget: ProgressiveTarget {
-    /// The per-worker executor type.
-    type Shard: TargetShard;
-
-    /// Mint a worker executor starting in the target's current order.
-    fn shard(&self) -> Result<Self::Shard, EngineError>;
-}
-
-impl TargetShard for ScanTarget<'_, '_> {
-    fn set_order(&mut self, order: &[usize]) -> Result<(), EngineError> {
-        ProgressiveTarget::set_order(self, order)
-    }
-
-    fn run_range(&mut self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
-        ProgressiveTarget::run_range(self, cpu, start, end)
-    }
-}
-
-impl<'p, 't> ShardableTarget for ScanTarget<'p, 't> {
-    type Shard = ScanTarget<'p, 't>;
-
-    fn shard(&self) -> Result<Self::Shard, EngineError> {
-        ScanTarget::new(self.table, self.plan, self.compiled.peo())
-    }
-}
-
-/// A worker-owned pipeline clone (stages borrow the shared immutable
-/// column data, so the clone is cheap).
-pub struct PipelineShard<'t> {
-    pipeline: Pipeline<'t>,
-}
-
-impl TargetShard for PipelineShard<'_> {
-    fn set_order(&mut self, order: &[usize]) -> Result<(), EngineError> {
-        self.pipeline.reorder(order)
-    }
-
-    fn run_range(&mut self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
-        self.pipeline.run_range(cpu, start, end)
-    }
-}
-
-impl<'t> ShardableTarget for PipelineTarget<'_, 't> {
-    type Shard = PipelineShard<'t>;
-
-    fn shard(&self) -> Result<Self::Shard, EngineError> {
-        Ok(PipelineShard {
-            pipeline: self.pipeline.clone(),
-        })
-    }
-}
-
-/// A worker-owned compiled-program clone (the stage table borrows the
-/// shared immutable column data, so the clone is cheap — re-chaining is
-/// just the order permutation re-emit).
-pub struct CompiledShard<'t> {
-    program: CompiledProgram<'t>,
-}
-
-impl TargetShard for CompiledShard<'_> {
-    fn set_order(&mut self, order: &[usize]) -> Result<(), EngineError> {
-        self.program.reorder(order)
-    }
-
-    fn run_range(&mut self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
-        self.program.run_range(cpu, start, end)
-    }
-}
-
-impl<'t> ShardableTarget for CompiledTarget<'_, 't> {
-    type Shard = CompiledShard<'t>;
-
-    fn shard(&self) -> Result<Self::Shard, EngineError> {
-        Ok(CompiledShard {
-            program: self.program().clone(),
-        })
-    }
-}

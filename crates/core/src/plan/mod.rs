@@ -18,7 +18,10 @@ pub mod passes;
 pub use logical::{Expr, LogicalNode, LogicalPlan, PlanBuilder};
 pub use passes::PassRegistry;
 
+use popt_storage::Table;
+
 use crate::error::EngineError;
+use crate::exec::program::CompiledProgram;
 use crate::predicate::Predicate;
 
 /// A predicate evaluation order: a permutation of plan predicate indices.
@@ -84,6 +87,40 @@ impl SelectionPlan {
                 got: peo.to_vec(),
             })
         }
+    }
+
+    /// Lower the plan over `table` to the compiled stage form, in
+    /// evaluation order `peo`. The plan goes through [`PlanBuilder`] like
+    /// every other query: each predicate becomes one costed filter (its
+    /// `extra_instructions` charged per evaluation), each aggregate column
+    /// one aggregate. Every predicate lowers to exactly one stage, so a
+    /// PEO over predicate indices is an order over stage indices.
+    pub fn compile<'t>(
+        &self,
+        table: &'t Table,
+        peo: &[usize],
+    ) -> Result<CompiledProgram<'t>, EngineError> {
+        self.validate_peo(peo)?;
+        let mut builder = PlanBuilder::scan(table);
+        for p in &self.predicates {
+            let test = Expr::Cmp(
+                Box::new(Expr::col(p.column.as_str())),
+                p.op,
+                Box::new(Expr::lit(p.literal)),
+            );
+            builder = builder.filter_costed(test, p.extra_instructions);
+        }
+        for column in &self.aggregate_columns {
+            builder = builder.aggregate(column.as_str());
+        }
+        let mut program = builder.build().compile()?;
+        assert_eq!(
+            program.len(),
+            self.len(),
+            "every predicate lowers to exactly one stage"
+        );
+        program.reorder(peo)?;
+        Ok(program)
     }
 
     /// All `p!` PEOs in lexicographic order (the 120 permutations of

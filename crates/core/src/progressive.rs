@@ -19,39 +19,35 @@
 //! additionally be probed by occasional exploratory orders (Section 4.5),
 //! enabled via [`ProgressiveConfig::explore_correlation`].
 //!
-//! ## One loop, two executors
+//! ## One loop, one executor
 //!
 //! Sections 5.5–5.6 generalize the approach from predicate orders to
 //! *operator* orders — expensive selections versus foreign-key join
-//! filters. The loop itself is executor-agnostic: anything that can
-//! compile an order, execute a row range, and describe its counter-model
-//! geometry participates, via [`ProgressiveTarget`]. [`run_progressive`]
-//! drives the multi-selection scan ([`CompiledSelection`]);
-//! [`run_progressive_pipeline`] drives a [`Pipeline`] of mixed
-//! selections and join filters, where the reorder decision ranks stages
-//! by estimated **cost per input tuple** (an LLC-thrashing probe is not
-//! comparable to a register compare) and the target *calibrates* each
-//! probe's clustering from the sampled counters — the Equation-1
-//! comparison of Section 5.5, with trial vectors doubling as measurement
-//! probes for joins whose locality has never been observed.
+//! filters. Every query lowers to one [`CompiledProgram`] (a
+//! [`SelectionPlan`] through [`SelectionPlan::compile`], a logical plan
+//! through [`crate::plan::LogicalPlan::compile`]), and one loop drives it:
+//! [`run_progressive`] for a selection plan, [`run_progressive_program`]
+//! for any compiled program. The reorder decision ranks stages by
+//! estimated **cost per input tuple** (an LLC-thrashing probe is not
+//! comparable to a register compare), and each join's probe clustering is
+//! *calibrated* from the sampled counters — the Equation-1 comparison of
+//! Section 5.5, with trial vectors doubling as measurement probes for
+//! joins whose locality has never been observed.
 
 use popt_cost::cycles::{stage_costs_per_input_tuple, CycleParams};
 use popt_cost::estimate::{estimate_counters, PlanGeometry};
-use popt_cost::markov::ChainSpec;
 use popt_cpu::pmu::CounterDelta;
 use popt_cpu::{CpuConfig, NumaPlacement, SimCpu};
 use popt_solver::{estimate_selectivities, CalibrationSnapshot, EstimatorConfig, SampledCounters};
 use popt_storage::Table;
 
 use crate::error::EngineError;
-use crate::exec::pipeline::Pipeline;
-use crate::exec::program::CompiledProgram;
-use crate::exec::scan::{CompiledSelection, VectorStats};
+use crate::exec::program::{CompiledProgram, VectorStats};
 use crate::observe::{front_stage_key, morsel_stage_parts, record_fit_drift, ExecObservers};
-use crate::plan::{order_by_cost_per_tuple, order_by_selectivity, Peo, SelectionPlan};
+use crate::plan::{order_by_cost_per_tuple, Peo, SelectionPlan};
 
 /// Streaming footprint one scanned column claims in the last-level
-/// cache, for [`ProgressiveTarget::hot_set_bytes`] declarations: streamed
+/// cache, for [`CompiledProgram::hot_set_bytes`] declarations: streamed
 /// lines are touched once and evicted, so only a small in-flight window
 /// (a few dozen lines of read-ahead) ever competes for capacity — unlike
 /// a probed dimension, which wants to stay resident in full.
@@ -220,12 +216,12 @@ pub fn run_baseline(
     vectors: VectorConfig,
     cpu: &mut SimCpu,
 ) -> Result<ProgressiveReport, EngineError> {
-    let compiled = CompiledSelection::compile(table, plan, peo)?;
+    let program = plan.compile(table, peo)?;
     let ranges = vectors.ranges(table.rows())?;
     let mut total = VectorStats::zero();
     let mut per_vector = Vec::with_capacity(ranges.len());
     for &(start, end) in &ranges {
-        let stats = compiled.run_range(cpu, start, end);
+        let stats = program.run_range(cpu, start, end);
         per_vector.push(stats.counters.cycles);
         total.accumulate(&stats);
     }
@@ -242,192 +238,9 @@ pub fn run_baseline(
     ))
 }
 
-/// An executor the progressive loop can drive: it owns an order over its
-/// stages, runs row ranges against the simulated CPU, and describes its
-/// counter-model geometry to the selectivity estimator.
-pub trait ProgressiveTarget {
-    /// Rows available to scan.
-    fn rows(&self) -> usize;
-
-    /// The current evaluation order (plan/stage indices).
-    fn order(&self) -> Peo;
-
-    /// Switch to `order` — a JIT system would compile a new binary, a
-    /// vectorized system re-chains its pre-compiled primitives.
-    fn set_order(&mut self, order: &[usize]) -> Result<(), EngineError>;
-
-    /// Execute rows `start..end` and return the range's measurements.
-    fn run_range(&mut self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats;
-
-    /// Counter-model geometry of the current order for `n_input` tuples.
-    /// `llc_bytes` is the *effective* last-level capacity of the core(s)
-    /// executing the target — the full configured LLC on a private
-    /// socket, the contention-shrunken share when a shared-socket pool
-    /// has partitioned capacity among co-runners — so counter
-    /// predictions (and with them the reorder decisions fitted against
-    /// them) price contended miss rates.
-    fn plan_geometry(&self, n_input: u64, cpu: &CpuConfig, llc_bytes: u64) -> PlanGeometry;
-
-    /// [`ProgressiveTarget::plan_geometry`] as seen from one socket of a
-    /// NUMA pool: join-probe stages additionally price the fraction of
-    /// their dimension homed on a *remote* socket under `placement`, so
-    /// two sockets fitting the same counters can rank the same stages
-    /// differently — per-socket order divergence. The default ignores
-    /// the topology (correct for streaming targets, whose geometry has
-    /// no probes to price).
-    fn plan_geometry_numa(
-        &self,
-        n_input: u64,
-        cpu: &CpuConfig,
-        llc_bytes: u64,
-        placement: &NumaPlacement,
-        socket: usize,
-    ) -> PlanGeometry {
-        let _ = (placement, socket);
-        self.plan_geometry(n_input, cpu, llc_bytes)
-    }
-
-    /// Bytes the target wants resident in the LLC while it runs — the
-    /// hot-set footprint a shared-socket pool's capacity partition
-    /// divides the LLC by. Streaming targets claim only the
-    /// [`STREAM_HOT_BYTES_PER_COLUMN`] in-flight window per column;
-    /// targets that re-reference data structures (probed dimensions)
-    /// claim them in full.
-    fn hot_set_bytes(&self) -> u64 {
-        STREAM_HOT_BYTES_PER_COLUMN
-    }
-
-    /// Propose an evaluation order given per-stage selectivity estimates
-    /// (in current evaluation order).
-    fn propose_order(&self, geom: &PlanGeometry, selectivities: &[f64]) -> Peo;
-
-    /// Update internal calibration (e.g. probe clustering) from a sampled
-    /// vector and the survivor estimate fitted to it. `geom` is the
-    /// geometry the estimate was fitted against, i.e. it describes the
-    /// order that produced the sample.
-    fn calibrate(&mut self, geom: &PlanGeometry, sampled: &SampledCounters, survivors: &[f64]) {
-        let _ = (geom, sampled, survivors);
-    }
-
-    /// An exploratory order that would let the target measure something
-    /// it cannot observe under the current order (consumed at most once
-    /// per opportunity — implementations must not return the same probe
-    /// forever). The loop runs it as a trial vector: accept/revert
-    /// semantics still apply, and the trial's sample feeds
-    /// [`ProgressiveTarget::calibrate`].
-    fn take_probe_order(&mut self) -> Option<Peo> {
-        None
-    }
-
-    /// Whether trial vectors should be estimated and fed to
-    /// [`ProgressiveTarget::calibrate`] even outside reopt rounds. Costs
-    /// one estimator run per trial; targets without runtime calibration
-    /// leave this off.
-    fn wants_trial_calibration(&self) -> bool {
-        false
-    }
-
-    /// Export the target's runtime-learned calibration so a later
-    /// execution of the same workload template can start from it (`None`
-    /// for targets that learn nothing at runtime).
-    fn calibration_snapshot(&self) -> Option<CalibrationSnapshot> {
-        None
-    }
-
-    /// Seed the target's calibration from a prior run's snapshot. A
-    /// snapshot whose shape does not match the target is ignored — a
-    /// wrong warm start may cost performance, never correctness, so the
-    /// restore path degrades to a cold start rather than erroring.
-    fn restore_calibration(&mut self, snapshot: &CalibrationSnapshot) {
-        let _ = snapshot;
-    }
-
-    /// Literal-free per-stage keys, *plan*-indexed, for drift
-    /// attribution: structurally identical queries map to the same keys
-    /// regardless of their literals, so residual series aggregate across
-    /// a workload template. The default keys by plan index.
-    fn stage_keys(&self) -> Vec<u64> {
-        (0..self.order().len() as u64).collect()
-    }
-
-    /// Intrinsic per-evaluation profiling weight of each stage,
-    /// *plan*-indexed: the relative cost of pushing one tuple through
-    /// the stage, used by the cycle profiler to split a morsel's
-    /// measured cycles across its stages. Only ratios matter. The
-    /// default weighs stages uniformly.
-    fn stage_profile_weights(&self) -> Vec<f64> {
-        vec![1.0; self.order().len()]
-    }
-}
-
-/// The multi-selection scan as a progressive target: switching orders
-/// recompiles the plan against the table.
-pub(crate) struct ScanTarget<'p, 't> {
-    pub(crate) table: &'t Table,
-    pub(crate) plan: &'p SelectionPlan,
-    pub(crate) compiled: CompiledSelection<'t>,
-}
-
-impl<'p, 't> ScanTarget<'p, 't> {
-    pub(crate) fn new(
-        table: &'t Table,
-        plan: &'p SelectionPlan,
-        initial_peo: &[usize],
-    ) -> Result<Self, EngineError> {
-        Ok(Self {
-            table,
-            plan,
-            compiled: CompiledSelection::compile(table, plan, initial_peo)?,
-        })
-    }
-}
-
-impl ProgressiveTarget for ScanTarget<'_, '_> {
-    fn rows(&self) -> usize {
-        self.compiled.rows()
-    }
-
-    fn order(&self) -> Peo {
-        self.compiled.peo().to_vec()
-    }
-
-    fn set_order(&mut self, order: &[usize]) -> Result<(), EngineError> {
-        self.compiled = CompiledSelection::compile(self.table, self.plan, order)?;
-        Ok(())
-    }
-
-    fn run_range(&mut self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
-        self.compiled.run_range(cpu, start, end)
-    }
-
-    fn plan_geometry(&self, n_input: u64, cpu: &CpuConfig, _llc_bytes: u64) -> PlanGeometry {
-        // A multi-selection scan streams its columns and probes nothing,
-        // so its counter model is LLC-capacity-independent.
-        let chain = ChainSpec {
-            states: cpu.predictor.states,
-            not_taken_states: cpu.predictor.not_taken_states,
-        };
-        self.compiled
-            .plan_geometry(n_input, chain, cpu.line_bytes() as u32)
-    }
-
-    fn hot_set_bytes(&self) -> u64 {
-        // Pure streaming: one in-flight window per touched column.
-        (self.plan.predicates.len() + self.plan.aggregate_columns.len()) as u64
-            * STREAM_HOT_BYTES_PER_COLUMN
-    }
-
-    fn propose_order(&self, _geom: &PlanGeometry, selectivities: &[f64]) -> Peo {
-        // Uniform per-predicate cost: the cost-per-tuple rank degenerates
-        // to the ascending-selectivity rule of Section 4.4.
-        order_by_selectivity(self.compiled.peo(), selectivities)
-    }
-}
-
-/// Runtime-learned probe locality, shared by every target whose stages
-/// include foreign-key joins ([`PipelineTarget`], [`CompiledTarget`]):
-/// one clustering estimate per *plan* stage, which stages were ever
-/// observed, and which already spent their measurement probe.
+/// Runtime-learned probe locality of a program's foreign-key join
+/// stages: one clustering estimate per *plan* stage, which stages were
+/// ever observed, and which already spent their measurement probe.
 pub(crate) struct ProbeCalibration {
     /// Per plan-stage clustering estimate (1.0 = assume uniform random,
     /// the textbook-pessimistic prior; meaningless for selects).
@@ -529,146 +342,37 @@ impl ProbeCalibration {
     }
 }
 
-/// A filter pipeline (selections + foreign-key join filters) as a
-/// progressive target. Orders are ranked by estimated cost per input
-/// tuple, and each join stage's probe clustering is calibrated from the
-/// counters whenever the stage runs at the front of the pipeline (the
-/// position where its signal dominates the sample).
-pub(crate) struct PipelineTarget<'p, 't> {
-    pub(crate) pipeline: &'p mut Pipeline<'t>,
+/// A [`CompiledProgram`] as the progressive loop drives it: the program
+/// (order tracking and execution) plus the estimator-side model — the
+/// geometry the selectivity fit prices, the cost-per-input-tuple order
+/// proposal, and the runtime probe-locality calibration of its join
+/// stages. The serial loop, the parallel coordinator (as the *master*
+/// target that never executes a morsel) and every served query drive
+/// one of these.
+///
+/// Orders are ranked by estimated cost per input tuple (an LLC-thrashing
+/// probe is not comparable to a register compare); with uniform stage
+/// costs and no probes the rank degenerates to the ascending-selectivity
+/// rule of Section 4.4. Each join stage's probe clustering is calibrated
+/// from the counters whenever the stage runs at the front (the position
+/// where its signal dominates the sample), and trial vectors double as
+/// measurement probes for joins whose locality was never observed. A
+/// program without joins has nothing to calibrate, so it pays no trial
+/// fits and exports no calibration.
+///
+/// Calibration snapshots are keyed to the program's literal-free
+/// [`CompiledProgram::stage_keys`], so a cached snapshot warm-starts any
+/// query of the same *structure* regardless of its literals, and is
+/// ignored for a structurally different program even when the stage
+/// count happens to match.
+pub(crate) struct CompiledTarget<'t> {
+    program: CompiledProgram<'t>,
     cal: ProbeCalibration,
 }
 
-impl<'p, 't> PipelineTarget<'p, 't> {
-    pub(crate) fn new(pipeline: &'p mut Pipeline<'t>) -> Self {
-        let stages = pipeline.len();
-        Self {
-            pipeline,
-            cal: ProbeCalibration::cold(stages),
-        }
-    }
-}
-
-impl ProgressiveTarget for PipelineTarget<'_, '_> {
-    fn rows(&self) -> usize {
-        self.pipeline.rows()
-    }
-
-    fn order(&self) -> Peo {
-        self.pipeline.order().to_vec()
-    }
-
-    fn set_order(&mut self, order: &[usize]) -> Result<(), EngineError> {
-        self.pipeline.reorder(order)
-    }
-
-    fn run_range(&mut self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
-        self.pipeline.run_range(cpu, start, end)
-    }
-
-    fn plan_geometry(&self, n_input: u64, cpu: &CpuConfig, llc_bytes: u64) -> PlanGeometry {
-        self.pipeline
-            .plan_geometry(n_input, cpu, llc_bytes, self.cal.clustering())
-    }
-
-    fn plan_geometry_numa(
-        &self,
-        n_input: u64,
-        cpu: &CpuConfig,
-        llc_bytes: u64,
-        placement: &NumaPlacement,
-        socket: usize,
-    ) -> PlanGeometry {
-        self.pipeline.plan_geometry_numa(
-            n_input,
-            cpu,
-            llc_bytes,
-            self.cal.clustering(),
-            placement,
-            socket,
-        )
-    }
-
-    fn hot_set_bytes(&self) -> u64 {
-        self.pipeline.hot_set_bytes()
-    }
-
-    fn propose_order(&self, geom: &PlanGeometry, selectivities: &[f64]) -> Peo {
-        let costs = stage_costs_per_input_tuple(
-            geom,
-            &self.pipeline.stage_instructions(),
-            selectivities,
-            &CycleParams::default(),
-        );
-        order_by_cost_per_tuple(self.pipeline.order(), &costs, selectivities)
-    }
-
-    fn calibrate(&mut self, geom: &PlanGeometry, sampled: &SampledCounters, survivors: &[f64]) {
-        let front = self.pipeline.order()[0];
-        if !self.pipeline.op(front).is_join() {
-            return;
-        }
-        self.cal.calibrate_front(front, geom, sampled, survivors);
-    }
-
-    fn take_probe_order(&mut self) -> Option<Peo> {
-        let order = self.pipeline.order().to_vec();
-        self.cal
-            .take_probe_order(&order, |j| self.pipeline.op(j).is_join())
-    }
-
-    fn wants_trial_calibration(&self) -> bool {
-        true
-    }
-
-    fn calibration_snapshot(&self) -> Option<CalibrationSnapshot> {
-        Some(CalibrationSnapshot::new(
-            self.cal.clustering.clone(),
-            self.cal.measured.clone(),
-        ))
-    }
-
-    fn restore_calibration(&mut self, snapshot: &CalibrationSnapshot) {
-        if !snapshot.matches(self.pipeline.len()) {
-            return;
-        }
-        self.cal.restore(snapshot);
-    }
-
-    fn stage_profile_weights(&self) -> Vec<f64> {
-        // `stage_instructions` is evaluation-ordered; map it back to plan
-        // indices and surcharge join probes for their memory stalls.
-        let order = self.pipeline.order();
-        let instr = self.pipeline.stage_instructions();
-        let mut weights = vec![1.0; order.len()];
-        for (k, &j) in order.iter().enumerate() {
-            let probe = if self.pipeline.op(j).is_join() {
-                PROFILE_PROBE_WEIGHT
-            } else {
-                0.0
-            };
-            weights[j] = instr.get(k).copied().unwrap_or(1.0) + probe;
-        }
-        weights
-    }
-}
-
-/// A [`CompiledProgram`] as a progressive target — the frontend's
-/// counterpart of [`PipelineTarget`], with identical ranking, probe
-/// calibration, and trial semantics. The one difference is snapshot
-/// identity: compiled programs key their calibration to the program's
-/// literal-free [`CompiledProgram::stage_keys`], so a cached snapshot
-/// warm-starts any query of the same *structure* regardless of its
-/// literals, and is ignored for a structurally different program even
-/// when the stage count happens to match.
-pub struct CompiledTarget<'p, 't> {
-    program: &'p mut CompiledProgram<'t>,
-    cal: ProbeCalibration,
-}
-
-impl<'p, 't> CompiledTarget<'p, 't> {
+impl<'t> CompiledTarget<'t> {
     /// Wrap `program` with cold calibration state.
-    pub fn new(program: &'p mut CompiledProgram<'t>) -> Self {
+    pub(crate) fn new(program: CompiledProgram<'t>) -> Self {
         let stages = program.len();
         Self {
             program,
@@ -678,33 +382,47 @@ impl<'p, 't> CompiledTarget<'p, 't> {
 
     /// The wrapped program (for sharding).
     pub(crate) fn program(&self) -> &CompiledProgram<'t> {
+        &self.program
+    }
+
+    /// Unwrap the program, left in the target's current order.
+    pub(crate) fn into_program(self) -> CompiledProgram<'t> {
         self.program
     }
-}
 
-impl ProgressiveTarget for CompiledTarget<'_, '_> {
-    fn rows(&self) -> usize {
-        self.program.rows()
-    }
-
-    fn order(&self) -> Peo {
+    /// The current evaluation order (plan/stage indices).
+    pub(crate) fn order(&self) -> Peo {
         self.program.order().to_vec()
     }
 
-    fn set_order(&mut self, order: &[usize]) -> Result<(), EngineError> {
+    /// Switch to `order` — a JIT system would compile a new binary, a
+    /// vectorized system re-chains its pre-compiled primitives.
+    pub(crate) fn set_order(&mut self, order: &[usize]) -> Result<(), EngineError> {
         self.program.reorder(order)
     }
 
-    fn run_range(&mut self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
-        self.program.run_range(cpu, start, end)
-    }
-
-    fn plan_geometry(&self, n_input: u64, cpu: &CpuConfig, llc_bytes: u64) -> PlanGeometry {
+    /// Counter-model geometry of the current order for `n_input` tuples,
+    /// priced against `llc_bytes` of *effective* last-level capacity (the
+    /// full LLC on a private socket, the contention-shrunken share when a
+    /// shared-socket pool partitioned it), so counter predictions — and
+    /// the reorder decisions fitted against them — price contended miss
+    /// rates.
+    pub(crate) fn plan_geometry(
+        &self,
+        n_input: u64,
+        cpu: &CpuConfig,
+        llc_bytes: u64,
+    ) -> PlanGeometry {
         self.program
             .plan_geometry(n_input, cpu, llc_bytes, self.cal.clustering())
     }
 
-    fn plan_geometry_numa(
+    /// [`CompiledTarget::plan_geometry`] as seen from one socket of a NUMA
+    /// pool: join-probe stages additionally price the fraction of their
+    /// dimension homed on a *remote* socket under `placement`, so two
+    /// sockets fitting the same counters can rank the same stages
+    /// differently — per-socket order divergence.
+    pub(crate) fn plan_geometry_numa(
         &self,
         n_input: u64,
         cpu: &CpuConfig,
@@ -722,11 +440,9 @@ impl ProgressiveTarget for CompiledTarget<'_, '_> {
         )
     }
 
-    fn hot_set_bytes(&self) -> u64 {
-        self.program.hot_set_bytes()
-    }
-
-    fn propose_order(&self, geom: &PlanGeometry, selectivities: &[f64]) -> Peo {
+    /// Propose an evaluation order given per-stage selectivity estimates
+    /// (in current evaluation order).
+    pub(crate) fn propose_order(&self, geom: &PlanGeometry, selectivities: &[f64]) -> Peo {
         let costs = stage_costs_per_input_tuple(
             geom,
             &self.program.stage_instructions(),
@@ -736,7 +452,25 @@ impl ProgressiveTarget for CompiledTarget<'_, '_> {
         order_by_cost_per_tuple(self.program.order(), &costs, selectivities)
     }
 
-    fn calibrate(&mut self, geom: &PlanGeometry, sampled: &SampledCounters, survivors: &[f64]) {
+    /// Whether the program learns anything at runtime — only join probes
+    /// carry a calibrated locality. Such a program estimates its trial
+    /// vectors too (one estimator run per trial, feeding
+    /// [`CompiledTarget::calibrate`] even outside reopt rounds); one
+    /// without joins pays no trial fits and exports no calibration.
+    pub(crate) fn calibrates(&self) -> bool {
+        (0..self.program.len()).any(|j| self.program.stage(j).is_join())
+    }
+
+    /// Update the probe calibration from a sampled vector and the survivor
+    /// estimate fitted to it. `geom` is the geometry the estimate was
+    /// fitted against, i.e. it describes the order that produced the
+    /// sample.
+    pub(crate) fn calibrate(
+        &mut self,
+        geom: &PlanGeometry,
+        sampled: &SampledCounters,
+        survivors: &[f64],
+    ) {
         let front = self.program.order()[0];
         if !self.program.stage(front).is_join() {
             return;
@@ -744,36 +478,46 @@ impl ProgressiveTarget for CompiledTarget<'_, '_> {
         self.cal.calibrate_front(front, geom, sampled, survivors);
     }
 
-    fn take_probe_order(&mut self) -> Option<Peo> {
+    /// An exploratory order that moves an unmeasured join to the front,
+    /// consumed at most once per join. The loop runs it as a trial
+    /// vector: accept/revert semantics still apply, and the trial's
+    /// sample feeds [`CompiledTarget::calibrate`].
+    pub(crate) fn take_probe_order(&mut self) -> Option<Peo> {
         let order = self.program.order().to_vec();
         self.cal
             .take_probe_order(&order, |j| self.program.stage(j).is_join())
     }
 
-    fn wants_trial_calibration(&self) -> bool {
-        true
+    /// Export the runtime-learned calibration so a later execution of the
+    /// same workload template can start from it (`None` for a program
+    /// without joins, which learns nothing at runtime).
+    pub(crate) fn calibration_snapshot(&self) -> Option<CalibrationSnapshot> {
+        self.calibrates().then(|| {
+            CalibrationSnapshot::keyed(
+                self.cal.clustering.clone(),
+                self.cal.measured.clone(),
+                self.program.stage_keys(),
+            )
+        })
     }
 
-    fn calibration_snapshot(&self) -> Option<CalibrationSnapshot> {
-        Some(CalibrationSnapshot::keyed(
-            self.cal.clustering.clone(),
-            self.cal.measured.clone(),
-            self.program.stage_keys(),
-        ))
-    }
-
-    fn restore_calibration(&mut self, snapshot: &CalibrationSnapshot) {
+    /// Seed the calibration from a prior run's snapshot. A snapshot whose
+    /// keys do not match the program is ignored — a wrong warm start may
+    /// cost performance, never correctness, so the restore path degrades
+    /// to a cold start rather than erroring.
+    pub(crate) fn restore_calibration(&mut self, snapshot: &CalibrationSnapshot) {
         if !snapshot.matches_keys(&self.program.stage_keys()) {
             return;
         }
         self.cal.restore(snapshot);
     }
 
-    fn stage_keys(&self) -> Vec<u64> {
-        self.program.stage_keys()
-    }
-
-    fn stage_profile_weights(&self) -> Vec<f64> {
+    /// Intrinsic per-evaluation profiling weight of each stage,
+    /// *plan*-indexed: the relative cost of pushing one tuple through the
+    /// stage, used by the cycle profiler to split a morsel's measured
+    /// cycles across its stages. Join probes are surcharged for their
+    /// memory stalls.
+    pub(crate) fn stage_profile_weights(&self) -> Vec<f64> {
         let order = self.program.order();
         let instr = self.program.stage_instructions();
         let mut weights = vec![1.0; order.len()];
@@ -790,7 +534,8 @@ impl ProgressiveTarget for CompiledTarget<'_, '_> {
 }
 
 /// Execute `plan` starting from `initial_peo` with progressive
-/// optimization enabled.
+/// optimization enabled: the plan is lowered to a [`CompiledProgram`] and
+/// run through [`run_progressive_program`].
 pub fn run_progressive(
     table: &Table,
     plan: &SelectionPlan,
@@ -799,31 +544,15 @@ pub fn run_progressive(
     cpu: &mut SimCpu,
     config: &ProgressiveConfig,
 ) -> Result<ProgressiveReport, EngineError> {
-    let mut target = ScanTarget::new(table, plan, initial_peo)?;
-    run_progressive_target(&mut target, vectors, cpu, config)
+    let mut program = plan.compile(table, initial_peo)?;
+    run_progressive_program(&mut program, initial_peo, vectors, cpu, config)
 }
 
-/// Execute a filter pipeline starting from `initial_order` with
-/// progressive operator reordering enabled (Sections 5.5–5.6): stages are
+/// Execute a compiled program starting from `initial_order` with
+/// progressive reordering enabled — the execution entry point the
+/// frontend's `plan → passes → compile` chain feeds into. Stages are
 /// reordered by estimated cost per input tuple, with probe clustering
-/// calibrated from the sampled counters and trial-vector accept/revert
-/// semantics shared with the scan path.
-///
-/// The pipeline is left in the final order the run converged to.
-pub fn run_progressive_pipeline(
-    pipeline: &mut Pipeline<'_>,
-    initial_order: &[usize],
-    vectors: VectorConfig,
-    cpu: &mut SimCpu,
-    config: &ProgressiveConfig,
-) -> Result<ProgressiveReport, EngineError> {
-    pipeline.reorder(initial_order)?;
-    let mut target = PipelineTarget::new(pipeline);
-    run_progressive_target(&mut target, vectors, cpu, config)
-}
-
-/// [`run_progressive_pipeline`] for a [`CompiledProgram`] — the execution
-/// entry point the frontend's `plan → passes → compile` chain feeds into.
+/// calibrated from the sampled counters (Sections 5.5–5.6).
 ///
 /// The program is left in the final order the run converged to.
 pub fn run_progressive_program(
@@ -843,8 +572,12 @@ pub fn run_progressive_program(
     )
 }
 
-/// [`run_progressive_program`] with observers attached (see
-/// [`run_progressive_target_observed`] for the observation contract).
+/// [`run_progressive_program`] with observers attached: the profiler
+/// receives every vector's cycles (attributed across the stages of the
+/// order it ran under, worker 0 / socket 0, zero idle) and every
+/// estimator charge; the drift observatory receives every fit's
+/// predicted-vs-observed residuals. Observation is non-invasive — the
+/// report is bit-identical with and without observers.
 pub fn run_progressive_program_observed(
     program: &mut CompiledProgram<'_>,
     initial_order: &[usize],
@@ -854,31 +587,18 @@ pub fn run_progressive_program_observed(
     obs: &ExecObservers,
 ) -> Result<ProgressiveReport, EngineError> {
     program.reorder(initial_order)?;
-    let mut target = CompiledTarget::new(program);
-    run_progressive_target_observed(&mut target, vectors, cpu, config, obs)
+    let mut target = CompiledTarget::new(program.clone());
+    let report = run_loop(&mut target, vectors, cpu, config, obs)?;
+    *program = target.into_program();
+    Ok(report)
 }
 
-/// The §4.4 loop over any [`ProgressiveTarget`]: sample counters per
-/// vector, estimate per-stage pass rates, reorder, trial, revert on
-/// regression, with stall-triggered exploration (Section 4.5), rejection
-/// memory, and measurement probes for targets that calibrate at runtime.
-pub fn run_progressive_target<T: ProgressiveTarget>(
-    target: &mut T,
-    vectors: VectorConfig,
-    cpu: &mut SimCpu,
-    config: &ProgressiveConfig,
-) -> Result<ProgressiveReport, EngineError> {
-    run_progressive_target_observed(target, vectors, cpu, config, &ExecObservers::none())
-}
-
-/// [`run_progressive_target`] with observers attached: the profiler
-/// receives every vector's cycles (attributed across the stages of the
-/// order it ran under, worker 0 / socket 0, zero idle) and every
-/// estimator charge; the drift observatory receives every fit's
-/// predicted-vs-observed residuals. Observation is non-invasive — the
-/// report is bit-identical with and without observers.
-pub fn run_progressive_target_observed<T: ProgressiveTarget>(
-    target: &mut T,
+/// The §4.4 loop: sample counters per vector, estimate per-stage pass
+/// rates, reorder, trial, revert on regression, with stall-triggered
+/// exploration (Section 4.5), rejection memory, and measurement probes
+/// for joins whose locality was never observed.
+fn run_loop(
+    target: &mut CompiledTarget<'_>,
     vectors: VectorConfig,
     cpu: &mut SimCpu,
     config: &ProgressiveConfig,
@@ -887,7 +607,7 @@ pub fn run_progressive_target_observed<T: ProgressiveTarget>(
     if config.reop_interval == 0 {
         return Err(EngineError::InvalidVectorConfig("reop_interval = 0".into()));
     }
-    let ranges = vectors.ranges(target.rows())?;
+    let ranges = vectors.ranges(target.program().rows())?;
     let cpu_cfg = cpu.config().clone();
     // The capacity every fit prices against: this core's LLC slice (the
     // full socket unless a shared pool shrank it).
@@ -912,12 +632,12 @@ pub fn run_progressive_target_observed<T: ProgressiveTarget>(
     // Observation-only state: literal-free keys and profiling weights
     // (plan-indexed, order-independent), and the profiler's timeline
     // position (executed + optimizer cycles so far).
-    let stage_keys = target.stage_keys();
+    let stage_keys = target.program().stage_keys();
     let plan_weights = target.stage_profile_weights();
     let mut prof_pos = 0u64;
 
     for (v_idx, &(start, end)) in ranges.iter().enumerate() {
-        let stats = target.run_range(cpu, start, end);
+        let stats = target.program().run_range(cpu, start, end);
         if let Some(prof) = &obs.profiler {
             // `order()` still names the order this vector ran under —
             // switches happen below, after the measurements are taken.
@@ -942,7 +662,7 @@ pub fn run_progressive_target_observed<T: ProgressiveTarget>(
             // Trial vectors double as measurement opportunities: estimate
             // the sample *under the order that produced it* and let the
             // target calibrate, before any revert discards that order.
-            if target.wants_trial_calibration() {
+            if target.calibrates() {
                 let sampled = stats.sampled_counters();
                 let geom = target.plan_geometry(sampled.n_input, &cpu_cfg, llc_bytes);
                 let estimate = estimate_selectivities(&geom, &sampled, &config.estimator);
@@ -1432,7 +1152,7 @@ mod tests {
 
     mod pipeline {
         use super::*;
-        use crate::exec::pipeline::{FilterOp, Pipeline};
+        use crate::plan::{Expr, PlanBuilder};
         use popt_cpu::CacheLevelConfig;
 
         /// Small hierarchy (4/16/64 KiB) so a modest dimension table
@@ -1509,6 +1229,24 @@ mod tests {
             }
         }
 
+        /// Expensive selection (`val < 50`, 50 extra instructions) then
+        /// a join through `fk` testing `payload < 50`, optionally summing
+        /// `val`.
+        fn program<'t>(
+            fact: &'t Table,
+            dim: &'t Table,
+            fk: &str,
+            aggregate: bool,
+        ) -> CompiledProgram<'t> {
+            let mut builder = PlanBuilder::scan(fact)
+                .filter_costed(Expr::col("val").less_than(50), 50)
+                .join(dim, fk, Expr::col("payload").less_than(50));
+            if aggregate {
+                builder = builder.aggregate("val");
+            }
+            builder.build().compile().unwrap()
+        }
+
         fn config() -> ProgressiveConfig {
             ProgressiveConfig {
                 reop_interval: 2,
@@ -1522,32 +1260,13 @@ mod tests {
         fn converges_to_selection_first_for_random_join() {
             let n = 1 << 17;
             let (fact, dim) = tables(n);
-            let build = |order: &[usize]| {
-                let sel = FilterOp::select(&fact, "val", CompareOp::Lt, 50, 0, 50).unwrap();
-                let join = FilterOp::join_filter(
-                    &fact,
-                    "fk_rand",
-                    &dim,
-                    "payload",
-                    CompareOp::Lt,
-                    50,
-                    1,
-                    100,
-                )
-                .unwrap();
-                let mut p = Pipeline::new(vec![sel, join], fact.rows()).unwrap();
-                p.reorder(order).unwrap();
-                p
-            };
+            let mut program = program(&fact, &dim, "fk_rand", false);
+            program.reorder(&[1, 0]).unwrap();
             let mut static_cpu = SimCpu::new(small_cache_cpu());
-            let bad = build(&[1, 0])
-                .run_range(&mut static_cpu, 0, n)
-                .counters
-                .cycles;
-            let mut pipeline = build(&[1, 0]);
+            let bad = program.run_range(&mut static_cpu, 0, n).counters.cycles;
             let mut cpu = SimCpu::new(small_cache_cpu());
-            let prog = run_progressive_pipeline(
-                &mut pipeline,
+            let prog = run_progressive_program(
+                &mut program,
                 &[1, 0],
                 pipeline_vectors(),
                 &mut cpu,
@@ -1555,6 +1274,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(prog.final_peo, vec![0, 1], "{:?}", prog.switches);
+            assert_eq!(program.order(), &[0, 1], "left in the converged order");
             assert!(
                 prog.cycles < bad,
                 "progressive {} !< static bad order {bad}",
@@ -1568,25 +1288,10 @@ mod tests {
         fn converges_to_join_first_for_coclustered_join() {
             let n = 1 << 17;
             let (fact, dim) = tables(n);
-            let build = || {
-                let sel = FilterOp::select(&fact, "val", CompareOp::Lt, 50, 0, 50).unwrap();
-                let join = FilterOp::join_filter(
-                    &fact,
-                    "fk_seq",
-                    &dim,
-                    "payload",
-                    CompareOp::Lt,
-                    50,
-                    1,
-                    100,
-                )
-                .unwrap();
-                Pipeline::new(vec![sel, join], fact.rows()).unwrap()
-            };
-            let mut pipeline = build();
+            let mut program = program(&fact, &dim, "fk_seq", false);
             let mut cpu = SimCpu::new(small_cache_cpu());
-            let prog = run_progressive_pipeline(
-                &mut pipeline,
+            let prog = run_progressive_program(
+                &mut program,
                 &[0, 1],
                 pipeline_vectors(),
                 &mut cpu,
@@ -1602,31 +1307,12 @@ mod tests {
         fn progressive_pipeline_preserves_results() {
             let n = 1 << 16;
             let (fact, dim) = tables(n);
-            let build = || {
-                let sel = FilterOp::select(&fact, "val", CompareOp::Lt, 50, 0, 50).unwrap();
-                let join = FilterOp::join_filter(
-                    &fact,
-                    "fk_rand",
-                    &dim,
-                    "payload",
-                    CompareOp::Lt,
-                    50,
-                    1,
-                    100,
-                )
-                .unwrap();
-                Pipeline::new(vec![sel, join], fact.rows())
-                    .unwrap()
-                    .with_aggregate(&fact, "val")
-                    .unwrap()
-            };
-            let static_pipeline = build();
+            let mut program = program(&fact, &dim, "fk_rand", true);
             let mut cpu1 = SimCpu::new(small_cache_cpu());
-            let expect = static_pipeline.run_range(&mut cpu1, 0, n);
-            let mut pipeline = build();
+            let expect = program.run_range(&mut cpu1, 0, n);
             let mut cpu2 = SimCpu::new(small_cache_cpu());
-            let prog = run_progressive_pipeline(
-                &mut pipeline,
+            let prog = run_progressive_program(
+                &mut program,
                 &[1, 0],
                 pipeline_vectors(),
                 &mut cpu2,
@@ -1643,14 +1329,10 @@ mod tests {
         fn good_pipeline_order_is_left_alone() {
             let n = 1 << 16;
             let (fact, dim) = tables(n);
-            let sel = FilterOp::select(&fact, "val", CompareOp::Lt, 50, 0, 50).unwrap();
-            let join =
-                FilterOp::join_filter(&fact, "fk_rand", &dim, "payload", CompareOp::Lt, 50, 1, 100)
-                    .unwrap();
-            let mut pipeline = Pipeline::new(vec![sel, join], fact.rows()).unwrap();
+            let mut program = program(&fact, &dim, "fk_rand", false);
             let mut cpu = SimCpu::new(small_cache_cpu());
-            let prog = run_progressive_pipeline(
-                &mut pipeline,
+            let prog = run_progressive_program(
+                &mut program,
                 &[0, 1],
                 pipeline_vectors(),
                 &mut cpu,

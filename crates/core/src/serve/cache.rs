@@ -22,15 +22,12 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use popt_solver::CalibrationSnapshot;
-use popt_storage::Table;
 
-use crate::error::EngineError;
-use crate::exec::pipeline::Pipeline;
 use crate::exec::program::CompiledProgram;
-use crate::plan::{Peo, SelectionPlan};
-use crate::predicate::{CompareOp, Predicate};
+use crate::plan::Peo;
+use crate::predicate::CompareOp;
 
-/// Structural identity of one pipeline stage, in *plan* order — what the
+/// Structural identity of one program stage, in *plan* order — what the
 /// stage computes and which simulated columns it touches, independent of
 /// where the evaluation order currently places it. Deliberately
 /// **literal-free**: a converged operator order and probe calibration are
@@ -95,59 +92,6 @@ impl Hash for WorkloadSignature {
 }
 
 impl WorkloadSignature {
-    /// Signature of a multi-selection scan over `table`.
-    pub fn of_scan(table: &Table, plan: &SelectionPlan) -> Result<Self, EngineError> {
-        let stages = plan
-            .predicates
-            .iter()
-            .map(|p: &Predicate| {
-                let col = table
-                    .column(&p.column)
-                    .ok_or_else(|| EngineError::UnknownColumn(p.column.clone()))?;
-                Ok(StageSignature::Select {
-                    base: col.base_addr(),
-                    op: p.op,
-                    extra_instructions: p.extra_instructions,
-                })
-            })
-            .collect::<Result<Vec<_>, EngineError>>()?;
-        Ok(Self {
-            rows: table.rows(),
-            stages,
-            literals: plan.predicates.iter().map(|p| p.literal).collect(),
-        })
-    }
-
-    /// Signature of a filter pipeline, taken over the stages in plan
-    /// (construction) order so it is invariant under reordering.
-    pub fn of_pipeline(pipeline: &Pipeline<'_>) -> Self {
-        let stages = (0..pipeline.len())
-            .map(|j| {
-                let op = pipeline.op(j);
-                match op.dim_rows() {
-                    Some(dim_rows) => StageSignature::Join {
-                        fk_base: op.column_base(),
-                        dim_base: op.dim_base().expect("joins have a dimension"),
-                        dim_rows,
-                        op: op.compare_op(),
-                    },
-                    None => StageSignature::Select {
-                        base: op.column_base(),
-                        op: op.compare_op(),
-                        extra_instructions: op.extra_instructions(),
-                    },
-                }
-            })
-            .collect();
-        Self {
-            rows: pipeline.rows(),
-            stages,
-            literals: (0..pipeline.len())
-                .map(|j| pipeline.op(j).literal())
-                .collect(),
-        }
-    }
-
     /// Signature of a compiled program, taken over the stages in plan
     /// (lowering) order so it is invariant under reordering.
     pub fn of_compiled(program: &CompiledProgram<'_>) -> Self {
@@ -196,7 +140,7 @@ pub struct CacheEntry {
     /// The operator order the last instance converged to (plan indices).
     pub order: Peo,
     /// The last instance's probe-clustering calibration (`None` for
-    /// targets that learn nothing at runtime, e.g. plain scans).
+    /// programs that learn nothing at runtime — those without joins).
     pub calibration: Option<CalibrationSnapshot>,
     /// Warm lookups served so far.
     pub hits: u64,
@@ -447,6 +391,8 @@ impl OrderCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{Expr, PlanBuilder, SelectionPlan};
+    use crate::predicate::Predicate;
     use popt_storage::{AddressSpace, ColumnData, Table};
 
     fn table() -> Table {
@@ -468,12 +414,16 @@ mod tests {
         .unwrap()
     }
 
+    fn signature(t: &Table, plan: &SelectionPlan) -> WorkloadSignature {
+        WorkloadSignature::of_compiled(&plan.compile(t, &plan.identity_peo()).unwrap())
+    }
+
     #[test]
     fn signature_treats_literals_as_features_not_identity() {
         let t = table();
-        let a = WorkloadSignature::of_scan(&t, &plan(10)).unwrap();
-        let same = WorkloadSignature::of_scan(&t, &plan(10)).unwrap();
-        let slid = WorkloadSignature::of_scan(&t, &plan(11)).unwrap();
+        let a = signature(&t, &plan(10));
+        let same = signature(&t, &plan(10));
+        let slid = signature(&t, &plan(11));
         assert_eq!(a, same);
         assert_eq!(
             a, slid,
@@ -491,64 +441,45 @@ mod tests {
             vec![],
         )
         .unwrap();
-        let other = WorkloadSignature::of_scan(&t, &structural).unwrap();
+        let other = signature(&t, &structural);
         assert_ne!(a, other, "operator change must miss the template");
         assert_eq!(a.stages(), 2);
     }
 
     #[test]
-    fn compiled_signature_matches_the_pipeline_signature() {
-        use crate::exec::pipeline::{FilterOp, Pipeline};
-        use crate::plan::PlanBuilder;
+    fn lowered_selection_plan_matches_the_builder_signature() {
         let t = table();
-        let mut dim_space = AddressSpace::new();
-        let mut dim = Table::new("dim");
-        dim.add_column("p", ColumnData::I32(vec![0; 4]), &mut dim_space);
-        let sel = FilterOp::select(&t, "a", CompareOp::Lt, 10, 0, 0).unwrap();
-        let join = FilterOp::join_filter(&t, "b", &dim, "p", CompareOp::Eq, 0, 1, 100).unwrap();
-        let pipeline = Pipeline::new(vec![sel, join], t.rows()).unwrap();
-        let plan = PlanBuilder::scan(&t)
-            .filter(crate::plan::Expr::col("a").less_than(10))
-            .join(&dim, "b", crate::plan::Expr::col("p").equal_to(0))
-            .build();
-        let program = plan.compile().unwrap();
+        let built = PlanBuilder::scan(&t)
+            .filter(Expr::col("a").less_than(10))
+            .filter(Expr::col("b").at_least(7))
+            .build()
+            .compile()
+            .unwrap();
         assert_eq!(
-            WorkloadSignature::of_pipeline(&pipeline),
-            WorkloadSignature::of_compiled(&program),
-            "a compiled plan and the equivalent hand-built pipeline share a template"
+            signature(&t, &plan(10)),
+            WorkloadSignature::of_compiled(&built),
+            "a lowered selection plan and the equivalent built plan share a template"
         );
     }
 
     #[test]
-    fn scan_signature_rejects_unknown_columns() {
-        let t = table();
-        let bad =
-            SelectionPlan::new(vec![Predicate::new("zzz", CompareOp::Lt, 1)], vec![]).unwrap();
-        assert!(matches!(
-            WorkloadSignature::of_scan(&t, &bad).unwrap_err(),
-            EngineError::UnknownColumn(_)
-        ));
-    }
-
-    #[test]
-    fn pipeline_signature_is_order_invariant() {
-        use crate::exec::pipeline::{FilterOp, Pipeline};
+    fn compiled_signature_is_order_invariant() {
         let t = table();
         let mut dim_space = AddressSpace::new();
         let mut dim = Table::new("dim");
         dim.add_column("p", ColumnData::I32(vec![0; 4]), &mut dim_space);
-        let build = || {
-            let sel = FilterOp::select(&t, "a", CompareOp::Lt, 10, 0, 0).unwrap();
-            let join = FilterOp::join_filter(&t, "b", &dim, "p", CompareOp::Eq, 0, 1, 100);
-            // "b" holds 2s — valid keys into the 4-row dimension.
-            Pipeline::new(vec![sel, join.unwrap()], t.rows()).unwrap()
-        };
-        let in_plan_order = WorkloadSignature::of_pipeline(&build());
-        let mut reordered = build();
-        reordered.reorder(&[1, 0]).unwrap();
+        // "b" holds 2s — valid keys into the 4-row dimension.
+        let mut program = PlanBuilder::scan(&t)
+            .filter(Expr::col("a").less_than(10))
+            .join(&dim, "b", Expr::col("p").equal_to(0))
+            .build()
+            .compile()
+            .unwrap();
+        let in_plan_order = WorkloadSignature::of_compiled(&program);
+        program.reorder(&[1, 0]).unwrap();
         assert_eq!(
             in_plan_order,
-            WorkloadSignature::of_pipeline(&reordered),
+            WorkloadSignature::of_compiled(&program),
             "signature must not depend on the evaluation order"
         );
     }
@@ -556,7 +487,7 @@ mod tests {
     #[test]
     fn cache_roundtrip_counts_hits_and_updates() {
         let t = table();
-        let sig = WorkloadSignature::of_scan(&t, &plan(10)).unwrap();
+        let sig = signature(&t, &plan(10));
         let mut cache = OrderCache::new();
         assert!(cache.is_empty());
         assert!(cache.lookup(&sig).is_none());
@@ -575,7 +506,7 @@ mod tests {
     #[test]
     fn consecutive_divergent_warm_runs_evict_the_template() {
         let t = table();
-        let sig = WorkloadSignature::of_scan(&t, &plan(10)).unwrap();
+        let sig = signature(&t, &plan(10));
         let mut cache = OrderCache::with_stale_after(3);
         cache.record(sig.clone(), vec![0, 1], None);
         // Two flip-flopping warm completions (each diverging from the
@@ -599,7 +530,7 @@ mod tests {
     #[test]
     fn converging_warm_run_clears_the_divergence_streak() {
         let t = table();
-        let sig = WorkloadSignature::of_scan(&t, &plan(10)).unwrap();
+        let sig = signature(&t, &plan(10));
         let mut cache = OrderCache::with_stale_after(2);
         cache.record(sig.clone(), vec![0, 1], None);
         assert!(cache.record_warm(sig.clone(), vec![1, 0], None).diverged);
@@ -633,7 +564,7 @@ mod tests {
         // current belief, not each instance's outdated seed), so the
         // stabilized template survives any number of such completions.
         let t = table();
-        let sig = WorkloadSignature::of_scan(&t, &plan(10)).unwrap();
+        let sig = signature(&t, &plan(10));
         let mut cache = OrderCache::with_stale_after(3);
         cache.record(sig.clone(), vec![0, 1], None);
         for _ in 0..5 {
@@ -647,7 +578,7 @@ mod tests {
     #[test]
     fn stats_track_lookups_and_render_into_the_registry() {
         let t = table();
-        let sig = WorkloadSignature::of_scan(&t, &plan(10)).unwrap();
+        let sig = signature(&t, &plan(10));
         let mut cache = OrderCache::new();
         assert!(cache.lookup(&sig).is_none());
         cache.record(sig.clone(), vec![1, 0], None);
@@ -666,7 +597,7 @@ mod tests {
     #[test]
     fn malformed_cached_order_degrades_to_cold() {
         let t = table();
-        let sig = WorkloadSignature::of_scan(&t, &plan(10)).unwrap();
+        let sig = signature(&t, &plan(10));
         let mut cache = OrderCache::new();
         cache.record(sig.clone(), vec![0, 0], None); // not a permutation
         assert!(

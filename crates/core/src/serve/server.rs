@@ -1,9 +1,9 @@
 //! The query server: admission, interleaved scheduling, and per-query
 //! progressive reoptimization over one shared [`CpuPool`].
 //!
-//! A [`QueryServer`] holds a batch of [`QuerySpec`]s — scan or pipeline
-//! targets, each with a [`Priority`] and an arrival time in simulated
-//! cycles — and executes them as *interleaved morsel streams*:
+//! A [`QueryServer`] holds a batch of [`QuerySpec`]s — each a compiled
+//! program with a [`Priority`] and an arrival time in simulated cycles —
+//! and executes them as *interleaved morsel streams*:
 //!
 //! * **Admission** — a query becomes schedulable once a worker's
 //!   wall-clock position (busy + idle + charged optimizer cycles)
@@ -42,19 +42,16 @@ use popt_obs::{DriftObservatory, MetricsRegistry, TraceEvent, Tracer};
 use popt_storage::Table;
 
 use crate::error::EngineError;
-use crate::exec::pipeline::Pipeline;
-use crate::exec::program::CompiledProgram;
-use crate::exec::scan::VectorStats;
+use crate::exec::program::{CompiledProgram, VectorStats};
 use crate::parallel::coordinator::{
     normal_round, trial_round, BoundaryAction, CoordState, WithCoord,
 };
-use crate::parallel::{MorselConfig, MorselDispatcher, ShardableTarget, TargetShard};
+use crate::parallel::{MorselConfig, MorselDispatcher};
 use crate::plan::{Peo, SelectionPlan};
-use crate::progressive::{ProgressiveConfig, ProgressiveTarget, SwitchEvent};
+use crate::progressive::{CompiledTarget, ProgressiveConfig, SwitchEvent};
 
 use super::cache::{OrderCache, WorkloadSignature};
 use super::scheduler::StrideScheduler;
-use super::target::{ServeShard, ServeTarget};
 
 /// Scheduling priority of a served query. Weights are proportional
 /// shares of morsel slots, not preemption levels: a `High` query gets
@@ -90,7 +87,9 @@ impl Priority {
     }
 }
 
-/// What a served query executes.
+/// What a served query executes. Either way it runs as one
+/// [`CompiledProgram`]: a scan's selection plan is lowered
+/// ([`SelectionPlan::compile`]) when the batch starts.
 pub enum QueryKind<'t> {
     /// A multi-selection scan.
     Scan {
@@ -100,13 +99,6 @@ pub enum QueryKind<'t> {
         plan: SelectionPlan,
         /// Evaluation order to start from on a cache miss.
         initial_peo: Peo,
-    },
-    /// A mixed selection/join-filter pipeline.
-    Pipeline {
-        /// The pipeline (stages borrow immutable column data).
-        pipeline: Pipeline<'t>,
-        /// Evaluation order to start from on a cache miss.
-        initial_order: Peo,
     },
     /// A compiled frontend program ([`crate::plan::LogicalPlan`] →
     /// [`CompiledProgram`]). Signatures are literal-free, so sliding a
@@ -148,25 +140,6 @@ impl<'t> QuerySpec<'t> {
                 table,
                 plan,
                 initial_peo,
-            },
-            priority,
-            arrival_cycles,
-        }
-    }
-
-    /// A pipeline query.
-    pub fn pipeline(
-        label: impl Into<String>,
-        pipeline: Pipeline<'t>,
-        initial_order: Peo,
-        priority: Priority,
-        arrival_cycles: u64,
-    ) -> Self {
-        Self {
-            label: label.into(),
-            kind: QueryKind::Pipeline {
-                pipeline,
-                initial_order,
             },
             priority,
             arrival_cycles,
@@ -501,9 +474,9 @@ impl<'t> QueryServer<'t> {
         let mut targets = Vec::with_capacity(metas.len());
         let mut signatures = Vec::with_capacity(metas.len());
         let mut warms = Vec::with_capacity(metas.len());
-        for spec in self.specs.iter_mut() {
+        for spec in &self.specs {
             let (target, signature, warm_seed) =
-                build_target(&mut spec.kind, cache_on.then_some(&mut self.cache))?;
+                build_target(&spec.kind, cache_on.then_some(&mut self.cache))?;
             targets.push(target);
             signatures.push(signature);
             warms.push(warm_seed);
@@ -517,7 +490,7 @@ impl<'t> QueryServer<'t> {
         let sockets = pool.sockets();
         let footprints: Vec<u64> = targets
             .iter()
-            .map(crate::progressive::ProgressiveTarget::hot_set_bytes)
+            .map(|target| target.program().hot_set_bytes())
             .collect();
         let mut socket_load = vec![0u64; sockets];
         let mut socket_footprint = vec![0u64; sockets];
@@ -609,12 +582,11 @@ impl<'t> QueryServer<'t> {
 
         // Per-(worker, query) shards, minted before the mutable borrows
         // below: each worker re-chains its own executors independently.
-        let mut worker_shards: Vec<Vec<ServeShard<'_, 't>>> = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let shards: Result<Vec<_>, EngineError> =
-                targets.iter().map(ShardableTarget::shard).collect();
-            worker_shards.push(shards?);
-        }
+        let shards: Vec<CompiledProgram<'t>> = targets
+            .iter()
+            .map(|target| target.program().clone())
+            .collect();
+        let worker_shards = vec![shards; workers];
 
         // Work division: each query's rows are interleaved across its
         // home socket's workers exactly like the dedicated-pool executor
@@ -644,7 +616,7 @@ impl<'t> QueryServer<'t> {
             .zip(warms)
         {
             let (member_start, members) = member_range[home];
-            let inner = MorselDispatcher::new(target.rows(), morsel_tuples, members)?;
+            let inner = MorselDispatcher::new(target.program().rows(), morsel_tuples, members)?;
             let total_morsels = inner.total_morsels();
             let arrival = metas[entries.len()].2;
             dispatchers.push(QueryDispatch {
@@ -760,9 +732,7 @@ impl<'t> QueryServer<'t> {
             });
         }
 
-        // The batch completed: only now does the queue drain (targets
-        // still borrow the specs; release them first).
-        drop(targets);
+        // The batch completed: only now does the queue drain.
         self.specs.clear();
 
         let per_worker_busy_cycles: Vec<u64> = worker_clocks
@@ -791,69 +761,32 @@ impl<'t> QueryServer<'t> {
 /// given) for a warm-start order and calibration. Returns the target,
 /// its workload signature, and the cached order the target was seeded
 /// with (`None` = cold start).
-fn build_target<'p, 't>(
-    kind: &'p mut QueryKind<'t>,
+fn build_target<'t>(
+    kind: &QueryKind<'t>,
     cache: Option<&mut OrderCache>,
-) -> Result<(ServeTarget<'p, 't>, WorkloadSignature, Option<Peo>), EngineError> {
-    match kind {
+) -> Result<(CompiledTarget<'t>, WorkloadSignature, Option<Peo>), EngineError> {
+    let (mut program, initial_order) = match kind {
         QueryKind::Scan {
             table,
             plan,
             initial_peo,
-        } => {
-            let signature = WorkloadSignature::of_scan(table, plan)?;
-            let cached = cache.and_then(|c| c.lookup(&signature));
-            let start = cached
-                .as_ref()
-                .map_or(&initial_peo[..], |entry| &entry.order[..]);
-            let target = crate::progressive::ScanTarget::new(table, plan, start)?;
-            Ok((
-                ServeTarget::Scan(target),
-                signature,
-                cached.map(|entry| entry.order),
-            ))
-        }
-        QueryKind::Pipeline {
-            pipeline,
-            initial_order,
-        } => {
-            let signature = WorkloadSignature::of_pipeline(pipeline);
-            let cached = cache.and_then(|c| c.lookup(&signature));
-            match cached.as_ref() {
-                Some(entry) => pipeline.reorder(&entry.order)?,
-                None => pipeline.reorder(initial_order)?,
-            }
-            let mut target = crate::progressive::PipelineTarget::new(pipeline);
-            if let Some(calibration) = cached.as_ref().and_then(|e| e.calibration.as_ref()) {
-                target.restore_calibration(calibration);
-            }
-            Ok((
-                ServeTarget::Pipeline(target),
-                signature,
-                cached.map(|entry| entry.order),
-            ))
-        }
+        } => (plan.compile(table, initial_peo)?, initial_peo),
         QueryKind::Compiled {
             program,
             initial_order,
-        } => {
-            let signature = WorkloadSignature::of_compiled(program);
-            let cached = cache.and_then(|c| c.lookup(&signature));
-            match cached.as_ref() {
-                Some(entry) => program.reorder(&entry.order)?,
-                None => program.reorder(initial_order)?,
-            }
-            let mut target = crate::progressive::CompiledTarget::new(program);
-            if let Some(calibration) = cached.as_ref().and_then(|e| e.calibration.as_ref()) {
-                target.restore_calibration(calibration);
-            }
-            Ok((
-                ServeTarget::Compiled(target),
-                signature,
-                cached.map(|entry| entry.order),
-            ))
-        }
+        } => (program.clone(), initial_order),
+    };
+    let signature = WorkloadSignature::of_compiled(&program);
+    let cached = cache.and_then(|c| c.lookup(&signature));
+    match cached.as_ref() {
+        Some(entry) => program.reorder(&entry.order)?,
+        None => program.reorder(initial_order)?,
     }
+    let mut target = CompiledTarget::new(program);
+    if let Some(calibration) = cached.as_ref().and_then(|e| e.calibration.as_ref()) {
+        target.restore_calibration(calibration);
+    }
+    Ok((target, signature, cached.map(|entry| entry.order)))
 }
 
 /// One query's work division over its home socket: the inner dispatcher
@@ -894,8 +827,8 @@ impl QueryDispatch {
 /// progressive coordination plus its completion accounting. (The work
 /// division itself — dispatchers, arrivals, weights — is immutable or
 /// atomic and lives outside the lock.)
-struct QueryEntry<'a, 'p, 't> {
-    coord: CoordState<'a, ServeTarget<'p, 't>>,
+struct QueryEntry<'a, 't> {
+    coord: CoordState<'a, 't>,
     totals: VectorStats,
     exec_cycles: u64,
     first_vt: Option<u64>,
@@ -914,8 +847,8 @@ struct QueryEntry<'a, 'p, 't> {
     arrival: u64,
 }
 
-struct ServerState<'a, 'p, 't> {
-    queries: Vec<QueryEntry<'a, 'p, 't>>,
+struct ServerState<'a, 't> {
+    queries: Vec<QueryEntry<'a, 't>>,
     error: Option<EngineError>,
     /// The server's order cache, shared with the workers so converged
     /// state publishes at query *completion* (under this same lock)
@@ -955,12 +888,12 @@ enum Step {
 /// as its window index in every query's coordination state. Returns
 /// (busy, idle, optimizer) cycles.
 #[allow(clippy::too_many_arguments)]
-fn serve_worker<'a, 'p, 't>(
+fn serve_worker(
     w: usize,
     socket: usize,
     core: &mut SimCpu,
-    shards: &mut [ServeShard<'p, 't>],
-    state: &Mutex<ServerState<'a, 'p, 't>>,
+    shards: &mut [CompiledProgram<'_>],
+    state: &Mutex<ServerState<'_, '_>>,
     dispatchers: &[QueryDispatch],
     arrivals: &[u64],
     weights: &[u64],
@@ -1102,14 +1035,14 @@ fn serve_worker<'a, 'p, 't>(
             } => {
                 let (is_trial, epoch) = match action {
                     BoundaryAction::Trial(order) => {
-                        if let Err(err) = shards[qid].set_order(&order) {
+                        if let Err(err) = shards[qid].reorder(&order) {
                             state.lock().expect("scheduler lock").error = Some(err);
                             break;
                         }
                         (true, local_epochs[qid])
                     }
                     BoundaryAction::Adopt { order, epoch } => {
-                        if let Err(err) = shards[qid].set_order(&order) {
+                        if let Err(err) = shards[qid].reorder(&order) {
                             state.lock().expect("scheduler lock").error = Some(err);
                             break;
                         }
@@ -1177,7 +1110,7 @@ fn serve_worker<'a, 'p, 't>(
                             // the incumbent if not).
                             opt_cycles += opt;
                             local_epochs[qid] = new_epoch;
-                            shards[qid].set_order(&published)
+                            shards[qid].reorder(&published)
                         }
                         Err(err) => Err(err),
                     }
@@ -1289,13 +1222,13 @@ fn serve_worker<'a, 'p, 't>(
 /// Locked access to one served query's coordination state: the server's
 /// single mutex plus the query index, plugged into the coordinator's
 /// shared [`trial_round`] / [`normal_round`] choreography.
-struct QueryCoordRef<'s, 'a, 'p, 't> {
-    state: &'s Mutex<ServerState<'a, 'p, 't>>,
+struct QueryCoordRef<'s, 'a, 't> {
+    state: &'s Mutex<ServerState<'a, 't>>,
     qid: usize,
 }
 
-impl<'a, 'p, 't> WithCoord<'a, ServeTarget<'p, 't>> for QueryCoordRef<'_, 'a, 'p, 't> {
-    fn with<R>(&self, f: impl FnOnce(&mut CoordState<'a, ServeTarget<'p, 't>>) -> R) -> R {
+impl<'a, 't> WithCoord<'a, 't> for QueryCoordRef<'_, 'a, 't> {
+    fn with<R>(&self, f: impl FnOnce(&mut CoordState<'a, 't>) -> R) -> R {
         f(&mut self.state.lock().expect("coordination lock").queries[self.qid].coord)
     }
 }

@@ -37,7 +37,10 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-use popt_core::exec::CompiledSelection;
+/// The allocation counter is process-wide, so the tests take turns: an
+/// allocation in one test's setup must never land in another's window.
+static EXCLUSIVE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 use popt_core::parallel::{run_parallel_scan, MorselConfig};
 use popt_core::plan::SelectionPlan;
 use popt_core::predicate::{CompareOp, Predicate};
@@ -80,22 +83,30 @@ fn plan() -> SelectionPlan {
 
 /// Serial morsel loop: after one warmup vector (stream-state slots may
 /// lazily extend on first touch), executing any number of further
-/// vectors through the batched fast path allocates nothing.
+/// vectors through the batched fast path allocates nothing — both the
+/// general row loop and the single-selection bulk path.
 #[test]
 fn serial_vector_loop_is_allocation_free() {
+    let _turn = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
     let rows = 64 * 1024;
     let t = table(rows);
-    let compiled = CompiledSelection::compile(&t, &plan(), &[0, 1]).unwrap();
-    let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-    let mut total = compiled.run_range(&mut cpu, 0, 1024);
-    let before = allocations();
-    for start in (1024..rows).step_by(1024) {
-        let stats = compiled.run_range(&mut cpu, start, start + 1024);
-        total.accumulate(&stats);
+    let bulk = SelectionPlan::new(vec![Predicate::new("a", CompareOp::Lt, 50)], vec![]).unwrap();
+    for (plan, peo, expected) in [
+        (plan(), vec![0, 1], expected_qualified(rows)),
+        (bulk, vec![0], (0..rows).filter(|i| i % 100 < 50).count()),
+    ] {
+        let program = plan.compile(&t, &peo).unwrap();
+        let mut cpu = SimCpu::new(CpuConfig::tiny_test());
+        let mut total = program.run_range(&mut cpu, 0, 1024);
+        let before = allocations();
+        for start in (1024..rows).step_by(1024) {
+            let stats = program.run_range(&mut cpu, start, start + 1024);
+            total.accumulate(&stats);
+        }
+        let delta = allocations() - before;
+        assert_eq!(delta, 0, "steady-state vectors allocated {delta} times");
+        assert_eq!(total.qualified as usize, expected);
     }
-    let delta = allocations() - before;
-    assert_eq!(delta, 0, "steady-state vectors allocated {delta} times");
-    assert_eq!(total.qualified as usize, expected_qualified(rows));
 }
 
 /// Parallel claim → execute → sample loop: with reoptimization off, the
@@ -105,6 +116,7 @@ fn serial_vector_loop_is_allocation_free() {
 /// as the short run.
 #[test]
 fn parallel_morsel_loop_is_allocation_free() {
+    let _turn = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
     let run = |rows: usize| {
         let t = table(rows);
         let p = plan();

@@ -9,10 +9,8 @@
 //! inverts the cost models to recover each predicate's selectivity —
 //! then compares against the exact ground truth the optimizer never saw.
 
-use popt::core::exec::scan::CompiledSelection;
 use popt::core::plan::SelectionPlan;
 use popt::core::predicate::{CompareOp, Predicate};
-use popt::cost::markov::ChainSpec;
 use popt::cpu::{CpuConfig, SimCpu};
 use popt::solver::{estimate_selectivities, EstimatorConfig};
 use popt::storage::tpch::{generate_lineitem, TpchConfig};
@@ -32,8 +30,9 @@ fn main() {
     // Execute one vector from the middle of the table and sample the
     // counters, non-invasively.
     let peo = plan.identity_peo();
-    let compiled = CompiledSelection::compile(&table, &plan, &peo).expect("compiles");
-    let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
+    let compiled = plan.compile(&table, &peo).expect("compiles");
+    let cpu_cfg = CpuConfig::xeon_e5_2630_v2();
+    let mut cpu = SimCpu::new(cpu_cfg.clone());
     let vector = 65_536.min(table.rows());
     let start = (table.rows() - vector) / 2;
 
@@ -63,7 +62,15 @@ fn main() {
     println!("  output (2n - bT)   : {}", sampled.n_output);
 
     // Invert the cost models.
-    let geom = compiled.plan_geometry(sampled.n_input, ChainSpec::SIX, 64);
+    // The plan shape is static knowledge: column widths, which columns
+    // repeat, the CPU's predictor and line size. No probes to calibrate.
+    let no_probes = vec![1.0; compiled.len()];
+    let geom = compiled.plan_geometry(
+        sampled.n_input,
+        &cpu_cfg,
+        cpu_cfg.llc().capacity_bytes,
+        &no_probes,
+    );
     let estimate = estimate_selectivities(&geom, &sampled, &EstimatorConfig::default());
 
     println!("\npredicate                      estimated   true");

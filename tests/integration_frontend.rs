@@ -1,17 +1,13 @@
 //! Integration tests for the query frontend: [`PlanBuilder`] → static
 //! optimizer passes → [`CompiledProgram`] → the progressive, parallel,
-//! and serving runtimes. The compiled form must be a drop-in for the
-//! boxed pipeline executor — same results, same simulated CPU events —
-//! and its literal-free template signature must warm the order cache
-//! across sliding parameters.
+//! and serving runtimes. Every runtime must return the answer a plain
+//! host-side evaluation of the plan computes, and the compiled form's
+//! literal-free template signature must warm the order cache across
+//! sliding parameters.
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
-use popt::core::parallel::{run_parallel_pipeline, run_parallel_program, MorselConfig};
+use popt::core::parallel::{run_parallel_program, MorselConfig};
 use popt::core::plan::{passes, Expr, PassRegistry, PlanBuilder};
-use popt::core::predicate::CompareOp;
-use popt::core::progressive::{
-    run_progressive_pipeline, run_progressive_program, ProgressiveConfig, VectorConfig,
-};
+use popt::core::progressive::{run_progressive_program, ProgressiveConfig, VectorConfig};
 use popt::core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
 use popt::cpu::{CpuConfig, CpuPool, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
@@ -70,36 +66,38 @@ fn program<'t>(
         .expect("plan lowers to a two-stage program")
 }
 
-fn pipeline<'t>(fact: &'t Table, dim: &'t Table, lit: i64) -> Pipeline<'t> {
-    let sel = FilterOp::select(fact, "val0", CompareOp::Lt, lit, 0, 30).unwrap();
-    let join =
-        FilterOp::join_filter(fact, "fk", dim, "payload", CompareOp::Lt, lit, 1, 100).unwrap();
-    Pipeline::new(vec![sel, join], fact.rows())
-        .unwrap()
-        .with_aggregate(fact, "val1")
-        .unwrap()
+/// `(qualified, sum)` of [`program`] by plain host-side evaluation.
+fn host_answer(fact: &Table, dim: &Table, lit: i64) -> (u64, i64) {
+    let col = |t: &Table, name: &str| t.column(name).unwrap().data().as_i32().unwrap().to_vec();
+    let (val0, val1, fk) = (col(fact, "val0"), col(fact, "val1"), col(fact, "fk"));
+    let payload = col(dim, "payload");
+    let hits: Vec<usize> = (0..fact.rows())
+        .filter(|&i| i64::from(val0[i]) < lit && i64::from(payload[fk[i] as usize]) < lit)
+        .collect();
+    (
+        hits.len() as u64,
+        hits.iter().map(|&i| i64::from(val1[i])).sum(),
+    )
 }
 
-/// The compiled frontend program drives the same CPU events as the
-/// hand-chained boxed pipeline: identical results *and* identical
-/// counters, solo, progressively reoptimized, and morsel-parallel.
+/// The compiled frontend program returns the host-evaluated answer solo,
+/// progressively reoptimized, and morsel-parallel at every worker count.
 #[test]
-fn frontend_program_is_a_drop_in_for_the_boxed_pipeline() {
+fn frontend_program_matches_host_evaluation_in_every_runtime() {
     let (fact, dim) = tables(0xF60);
+    let expect = host_answer(&fact, &dim, 500);
 
-    // Solo: bit-identical counters and cycles.
-    let prog = program(&fact, &dim, 500);
-    let pipe = pipeline(&fact, &dim, 500);
-    let mut c1 = SimCpu::new(CpuConfig::tiny_test());
-    let a = prog.run_range(&mut c1, 0, ROWS);
-    let mut c2 = SimCpu::new(CpuConfig::tiny_test());
-    let b = pipe.run_range(&mut c2, 0, ROWS);
-    assert_eq!(a.qualified, b.qualified);
-    assert_eq!(a.sum, b.sum);
-    assert_eq!(a.counters, b.counters, "bit-identical CPU events");
-    assert_eq!(c1.counters().cycles, c2.counters().cycles);
+    // Solo, in either order, with the counters' view of the output.
+    let mut prog = program(&fact, &dim, 500);
+    for order in [[0, 1], [1, 0]] {
+        prog.reorder(&order).unwrap();
+        let mut cpu = SimCpu::new(CpuConfig::tiny_test());
+        let stats = prog.run_range(&mut cpu, 0, ROWS);
+        assert_eq!((stats.qualified, stats.sum), expect, "order {order:?}");
+        assert_eq!(stats.derived_output(), stats.qualified);
+    }
 
-    // Progressive: same convergence trajectory from the same start.
+    // Progressive, from the join-first start.
     let reopt = ProgressiveConfig {
         reop_interval: 3,
         ..Default::default()
@@ -110,18 +108,12 @@ fn frontend_program_is_a_drop_in_for_the_boxed_pipeline() {
     };
     let mut prog = program(&fact, &dim, 500);
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-    let via_program =
-        run_progressive_program(&mut prog, &[1, 0], vectors, &mut cpu, &reopt).unwrap();
-    let mut pipe = pipeline(&fact, &dim, 500);
-    let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-    let via_pipeline =
-        run_progressive_pipeline(&mut pipe, &[1, 0], vectors, &mut cpu, &reopt).unwrap();
-    assert_eq!(via_program.qualified, via_pipeline.qualified);
-    assert_eq!(via_program.sum, via_pipeline.sum);
-    assert_eq!(via_program.final_peo, via_pipeline.final_peo);
+    let report = run_progressive_program(&mut prog, &[1, 0], vectors, &mut cpu, &reopt).unwrap();
+    assert_eq!((report.qualified, report.sum), expect);
     assert_eq!(
-        via_program.cycles, via_pipeline.cycles,
-        "same simulated cost"
+        prog.order(),
+        &report.final_peo[..],
+        "left in the final order"
     );
 
     // Morsel-parallel with shared reoptimization: same results at every
@@ -139,18 +131,7 @@ fn frontend_program_is_a_drop_in_for_the_boxed_pipeline() {
             Some(&reopt),
         )
         .unwrap();
-        let mut pipe = pipeline(&fact, &dim, 500);
-        let mut pool = CpuPool::new(CpuConfig::tiny_test(), workers);
-        let q = run_parallel_pipeline(
-            &mut pipe,
-            &[1, 0],
-            MorselConfig::new(1024),
-            &mut pool,
-            Some(&reopt),
-        )
-        .unwrap();
-        assert_eq!(p.qualified, q.qualified, "workers={workers}");
-        assert_eq!(p.sum, q.sum);
+        assert_eq!((p.qualified, p.sum), expect, "workers={workers}");
     }
 }
 
@@ -216,9 +197,9 @@ fn optimizer_passes_preserve_results_and_lower_estimates() {
 
 /// Parameterized templates through the serving layer: a compiled plan
 /// whose literal slides between arrivals warm-hits its template's cache
-/// entry; a structural change misses; and a hand-built pipeline of the
-/// same shape shares the template (the signature is representation-
-/// agnostic).
+/// entry; a structural change misses; and a plan lowered without the
+/// static passes shares the template (the signature is the stage
+/// structure, not the route that built it).
 #[test]
 fn compiled_templates_warm_across_sliding_literals() {
     let (fact, dim) = tables(0xF62);
@@ -276,19 +257,29 @@ fn compiled_templates_warm_across_sliding_literals() {
     assert!(!changed.queries[0].warm_start, "operator flip must miss");
     assert_eq!(server.cache().len(), 2);
 
-    // A hand-chained pipeline with the original shape maps to the same
-    // template and warms from the compiled queries' converged state.
-    server.admit(QuerySpec::pipeline(
-        "q-boxed",
-        pipeline(&fact, &dim, 750),
-        vec![0, 1],
+    // The original shape lowered without the pass pipeline maps to the
+    // same template and warms from the optimized queries' converged state.
+    let unoptimized = PlanBuilder::scan(&fact)
+        .filter_costed(Expr::col("val0").less_than(750), 30)
+        .join(&dim, "fk", Expr::col("payload").less_than(750))
+        .aggregate("val1")
+        .build()
+        .compile()
+        .unwrap();
+    server.admit(QuerySpec::compiled(
+        "q-unoptimized",
+        unoptimized,
         Priority::Normal,
         0,
     ));
-    let boxed = server.run(&mut pool).unwrap();
+    let unopt = server.run(&mut pool).unwrap();
     assert!(
-        boxed.queries[0].warm_start,
-        "the signature is representation-agnostic"
+        unopt.queries[0].warm_start,
+        "the signature is the stage structure"
+    );
+    assert_eq!(
+        (unopt.queries[0].qualified, unopt.queries[0].sum),
+        host_answer(&fact, &dim, 750)
     );
     assert_eq!(server.cache().len(), 2);
 }

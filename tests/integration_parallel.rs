@@ -7,12 +7,12 @@
 //! same operator order the serial loop finds; and four workers deliver a
 //! ≥ 2.5× wall-clock speedup over one on the Figure-14-style workload.
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
-use popt::core::parallel::{run_parallel_pipeline, run_parallel_scan, MorselConfig};
-use popt::core::plan::SelectionPlan;
+use popt::core::exec::CompiledProgram;
+use popt::core::parallel::{run_parallel_program, run_parallel_scan, MorselConfig};
+use popt::core::plan::{Expr, PlanBuilder, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::{
-    run_baseline, run_progressive_pipeline, ProgressiveConfig, VectorConfig,
+    run_baseline, run_progressive_program, ProgressiveConfig, VectorConfig,
 };
 use popt::cpu::{CpuConfig, CpuPool, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
@@ -50,22 +50,13 @@ fn scan_table(n: usize) -> (Table, SelectionPlan) {
 
 /// Expensive selection + fully random FK probe into an LLC-thrashing
 /// dimension (the fig14 "Mem" workload) — selection-first is optimal.
-fn build_pipeline<'t>(fact: &'t Table, dim: &'t Table) -> Pipeline<'t> {
-    let sel = FilterOp::select(fact, "val", CompareOp::Lt, DOMAIN / 2, 0, 50).unwrap();
-    let join = FilterOp::join_filter(
-        fact,
-        "fk",
-        dim,
-        "payload",
-        CompareOp::Lt,
-        DOMAIN / 2,
-        1,
-        100,
-    )
-    .unwrap();
-    Pipeline::new(vec![sel, join], fact.rows())
-        .unwrap()
-        .with_aggregate(fact, "val")
+fn build_pipeline<'t>(fact: &'t Table, dim: &'t Table) -> CompiledProgram<'t> {
+    PlanBuilder::scan(fact)
+        .filter_costed(Expr::col("val").less_than(DOMAIN / 2), 50)
+        .join(dim, "fk", Expr::col("payload").less_than(DOMAIN / 2))
+        .aggregate("val")
+        .build()
+        .compile()
         .unwrap()
 }
 
@@ -155,7 +146,7 @@ fn parallel_pipeline_matches_serial_and_converges_to_same_order() {
     // Serial progressive from the bad (join-first) order.
     let mut serial_pipeline = build_pipeline(&fact, &dim);
     let mut cpu = SimCpu::new(small_cache_cpu());
-    let serial = run_progressive_pipeline(
+    let serial = run_progressive_program(
         &mut serial_pipeline,
         &[1, 0],
         VectorConfig {
@@ -173,7 +164,7 @@ fn parallel_pipeline_matches_serial_and_converges_to_same_order() {
     // Parallel progressive from the same bad order, 4 workers.
     let mut pipeline = build_pipeline(&fact, &dim);
     let mut pool = CpuPool::new(small_cache_cpu(), 4);
-    let report = run_parallel_pipeline(
+    let report = run_parallel_program(
         &mut pipeline,
         &[1, 0],
         MorselConfig::new(4_096),
@@ -202,7 +193,7 @@ fn four_workers_speed_up_the_pipeline_at_least_2_5x() {
     let run = |workers: usize| {
         let mut pipeline = build_pipeline(&fact, &dim);
         let mut pool = CpuPool::new(small_cache_cpu(), workers);
-        run_parallel_pipeline(
+        run_parallel_program(
             &mut pipeline,
             &[0, 1],
             MorselConfig::new(4_096),
@@ -230,7 +221,7 @@ fn rejected_trials_never_spread_and_always_revert() {
     let mut pool = CpuPool::new(small_cache_cpu(), 4);
     // Every trial "regresses" under a negative tolerance: the published
     // order must never change, and each trial must be marked reverted.
-    let report = run_parallel_pipeline(
+    let report = run_parallel_program(
         &mut pipeline,
         &[1, 0],
         MorselConfig::new(4_096),

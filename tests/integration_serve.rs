@@ -2,9 +2,9 @@
 //! fairness and isolation, result exactness under interleaving, warm
 //! order-cache reuse, and admission/idle accounting.
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
-use popt::core::exec::scan::CompiledSelection;
+use popt::core::exec::CompiledProgram;
 use popt::core::plan::SelectionPlan;
+use popt::core::plan::{Expr, PlanBuilder};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
 use popt::core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
@@ -63,14 +63,37 @@ fn scan_plan(lits: [i64; 3]) -> SelectionPlan {
     .unwrap()
 }
 
-fn pipeline<'t>(fact: &'t Table, dim: &'t Table, lit: i64) -> Pipeline<'t> {
-    let sel = FilterOp::select(fact, "val0", CompareOp::Lt, lit, 0, 30).unwrap();
-    let join =
-        FilterOp::join_filter(fact, "fk", dim, "payload", CompareOp::Lt, lit, 1, 100).unwrap();
-    Pipeline::new(vec![sel, join], fact.rows())
+/// The join template: a costed `val0` selection and a probe testing
+/// `payload`, both against `lit`, summing `val1`.
+fn pipeline<'t>(fact: &'t Table, dim: &'t Table, lit: i64) -> CompiledProgram<'t> {
+    join_template(fact, dim, Expr::col("val0").less_than(lit), lit)
+}
+
+fn join_template<'t>(
+    fact: &'t Table,
+    dim: &'t Table,
+    select: Expr,
+    lit: i64,
+) -> CompiledProgram<'t> {
+    PlanBuilder::scan(fact)
+        .filter_costed(select, 30)
+        .join(dim, "fk", Expr::col("payload").less_than(lit))
+        .aggregate("val1")
+        .build()
+        .compile()
         .unwrap()
-        .with_aggregate(fact, "val1")
-        .unwrap()
+}
+
+/// A served compiled program starting from `order` on a cache miss.
+fn pipeline_spec<'t>(
+    label: &str,
+    mut program: CompiledProgram<'t>,
+    order: Vec<usize>,
+    priority: Priority,
+    arrival_cycles: u64,
+) -> QuerySpec<'t> {
+    program.reorder(&order).unwrap();
+    QuerySpec::compiled(label, program, priority, arrival_cycles)
 }
 
 fn config(reopt: bool) -> ServeConfig {
@@ -94,7 +117,8 @@ fn mixed_batch_matches_solo_execution() {
     let plan = scan_plan([200, 500, 800]);
 
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-    let scan_ref = CompiledSelection::compile(&fact, &plan, &[2, 1, 0])
+    let scan_ref = plan
+        .compile(&fact, &[2, 1, 0])
         .unwrap()
         .run_range(&mut cpu, 0, ROWS);
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
@@ -111,7 +135,7 @@ fn mixed_batch_matches_solo_execution() {
                 Priority::High,
                 0,
             ));
-            server.admit(QuerySpec::pipeline(
+            server.admit(pipeline_spec(
                 "pipe-norm",
                 pipeline(&fact, &dim, 500),
                 vec![1, 0],
@@ -230,7 +254,7 @@ fn warm_cache_reuses_converged_state() {
     let workers = 2;
 
     let mut server = QueryServer::new(config(true));
-    server.admit(QuerySpec::pipeline(
+    server.admit(pipeline_spec(
         "pipe",
         pipeline(&fact, &dim, 500),
         vec![1, 0],
@@ -242,7 +266,7 @@ fn warm_cache_reuses_converged_state() {
     assert!(!cold.queries[0].warm_start, "first sighting must be cold");
     assert_eq!(server.cache().len(), 1);
 
-    server.admit(QuerySpec::pipeline(
+    server.admit(pipeline_spec(
         "pipe",
         pipeline(&fact, &dim, 500),
         vec![1, 0],
@@ -268,7 +292,7 @@ fn warm_cache_reuses_converged_state() {
     // A slid literal is the *same* template: parameterized queries
     // (`val0 < ?`) share one cache entry, so the tweaked instance
     // warm-starts from the converged state of its 500-literal mate.
-    server.admit(QuerySpec::pipeline(
+    server.admit(pipeline_spec(
         "pipe-tweaked",
         pipeline(&fact, &dim, 501),
         vec![1, 0],
@@ -285,14 +309,8 @@ fn warm_cache_reuses_converged_state() {
 
     // A *structural* change (different comparison operator) is a new
     // template and must miss.
-    let sel = FilterOp::select(&fact, "val0", CompareOp::Ge, 500, 0, 30).unwrap();
-    let join =
-        FilterOp::join_filter(&fact, "fk", &dim, "payload", CompareOp::Lt, 500, 1, 100).unwrap();
-    let restructured = Pipeline::new(vec![sel, join], fact.rows())
-        .unwrap()
-        .with_aggregate(&fact, "val1")
-        .unwrap();
-    server.admit(QuerySpec::pipeline(
+    let restructured = join_template(&fact, &dim, Expr::col("val0").at_least(500), 500);
+    server.admit(pipeline_spec(
         "pipe-restructured",
         restructured,
         vec![1, 0],
@@ -662,7 +680,8 @@ fn dynamic_repartition_cycles_are_host_schedule_independent() {
     let (fact, dim) = tables(0xD27A);
     let plan = scan_plan([200, 500, 800]);
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-    let scan_ref = CompiledSelection::compile(&fact, &plan, &[0, 1, 2])
+    let scan_ref = plan
+        .compile(&fact, &[0, 1, 2])
         .unwrap()
         .run_range(&mut cpu, 0, ROWS);
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
@@ -674,7 +693,7 @@ fn dynamic_repartition_cycles_are_host_schedule_independent() {
             reopt: None,
             ..config(false)
         });
-        server.admit(QuerySpec::pipeline(
+        server.admit(pipeline_spec(
             "pipe-0",
             pipeline(&fact, &dim, 500),
             vec![0, 1],
@@ -689,7 +708,7 @@ fn dynamic_repartition_cycles_are_host_schedule_independent() {
             Priority::Normal,
             2_000,
         ));
-        server.admit(QuerySpec::pipeline(
+        server.admit(pipeline_spec(
             "pipe-1",
             pipeline(&fact, &dim, 500),
             vec![0, 1],
@@ -737,14 +756,14 @@ fn dynamic_repartition_prices_co_runners_and_reclaims_at_completion() {
             reopt: None,
             ..config(false)
         });
-        server.admit(QuerySpec::pipeline(
+        server.admit(pipeline_spec(
             "fg",
             pipeline(&fact, &dim, 500),
             vec![0, 1],
             Priority::Normal,
             0,
         ));
-        server.admit(QuerySpec::pipeline(
+        server.admit(pipeline_spec(
             "co",
             pipeline(co_fact, co_dim, 500),
             vec![0, 1],

@@ -11,7 +11,6 @@
 
 use proptest::prelude::*;
 
-use popt::core::exec::scan::CompiledSelection;
 use popt::core::parallel::{run_parallel_program, MorselConfig};
 use popt::core::plan::SelectionPlan;
 use popt::core::plan::{Expr, LogicalPlan, PlanBuilder};
@@ -131,8 +130,9 @@ proptest! {
         }
     }
 
-    /// Serial multi-selection scans (including the specialized
-    /// single-predicate bulk path): batched vs scalar oracle.
+    /// Serial multi-selection scans, lowered to compiled programs
+    /// (including the one-selection, no-aggregate bulk path): batched vs
+    /// scalar oracle.
     #[test]
     fn scan_fast_path_matches_oracle(
         preds in 1usize..4,
@@ -157,7 +157,7 @@ proptest! {
             if with_agg { vec!["c0".into()] } else { vec![] },
         ).expect("plan");
         let peo: Vec<usize> = (0..preds).collect();
-        let mut fast = CompiledSelection::compile(&t, &plan, &peo).expect("compiles");
+        let mut fast = plan.compile(&t, &peo).expect("compiles");
         let mut cpu_f = SimCpu::new(CpuConfig::tiny_test());
         let mut cpu_o = SimCpu::new(CpuConfig::tiny_test());
         let mut start = 0usize;

@@ -3,9 +3,9 @@
 
 use proptest::prelude::*;
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
-use popt::core::exec::scan::CompiledSelection;
+use popt::core::exec::CompiledProgram;
 use popt::core::plan::{order_by_selectivity, SelectionPlan};
+use popt::core::plan::{Expr, PlanBuilder};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::cost::estimate::{estimate_counters, PlanGeometry};
 use popt::cost::markov::ChainSpec;
@@ -57,7 +57,7 @@ proptest! {
         let rows = 2048usize;
         let (t, plan) = table_with_columns(rows, &[lit1, lit2, lit3], seed);
         let peo = if swap { vec![2, 0, 1] } else { vec![0, 1, 2] };
-        let compiled = CompiledSelection::compile(&t, &plan, &peo).unwrap();
+        let compiled = plan.compile(&t, &peo).unwrap();
         let mut cpu = SimCpu::new(CpuConfig::tiny_test());
         let stats = compiled.run_range(&mut cpu, 0, rows);
         let c = &stats.counters;
@@ -77,7 +77,7 @@ proptest! {
         let (t, plan) = table_with_columns(rows, &[lit1, lit2], seed);
         let mut results = Vec::new();
         for peo in [[0usize, 1], [1, 0]] {
-            let compiled = CompiledSelection::compile(&t, &plan, &peo).unwrap();
+            let compiled = plan.compile(&t, &peo).unwrap();
             let mut cpu = SimCpu::new(CpuConfig::tiny_test());
             let stats = compiled.run_range(&mut cpu, 0, rows);
             results.push((stats.qualified, stats.counters.branches_not_taken));
@@ -97,7 +97,7 @@ proptest! {
         let rows = 2048usize;
         let (t, plan) = table_with_columns(rows, &[lit1, lit2, lit3], seed);
         let peo = plan.identity_peo();
-        let compiled = CompiledSelection::compile(&t, &plan, &peo).unwrap();
+        let compiled = plan.compile(&t, &peo).unwrap();
         let mut cpu = SimCpu::new(CpuConfig::tiny_test());
         let stats = compiled.run_range(&mut cpu, 0, rows);
         let sampled = stats.sampled_counters();
@@ -226,27 +226,19 @@ proptest! {
             perm.swap(i, j);
         }
 
-        let build = |seed: u64| -> Pipeline<'_> {
-            let mut p = Vec::new();
+        let build = |seed: u64| -> CompiledProgram<'_> {
+            let mut builder = PlanBuilder::scan(&fact);
             for k in 0..stages {
                 // Bit k of the seed picks the stage kind; joins alternate
                 // between the co-clustered and the random foreign key.
-                let op = if (seed >> k) & 1 == 1 {
+                builder = if (seed >> k) & 1 == 1 {
                     let fk = if k % 2 == 0 { "fk_seq" } else { "fk_rand" };
-                    FilterOp::join_filter(
-                        &fact, fk, &dim, "payload", CompareOp::Lt, lit, k as u32, 100 + k,
-                    )
-                    .expect("join compiles")
+                    builder.join(&dim, fk, Expr::col("payload").less_than(lit))
                 } else {
-                    FilterOp::select(&fact, &format!("val{k}"), CompareOp::Lt, lit, k as u32, 0)
-                        .expect("select compiles")
+                    builder.filter(Expr::col(format!("val{k}")).less_than(lit))
                 };
-                p.push(op);
             }
-            Pipeline::new(p, fact.rows())
-                .expect("pipeline")
-                .with_aggregate(&fact, "val0")
-                .expect("aggregate")
+            builder.aggregate("val0").build().compile().expect("program lowers")
         };
 
         let identity = build(seed);
@@ -261,7 +253,7 @@ proptest! {
         prop_assert_eq!(got.qualified, base.qualified);
         prop_assert_eq!(got.sum, base.sum);
 
-        // Non-permutations are rejected without touching the pipeline.
+        // Non-permutations are rejected without touching the program.
         let mut broken = build(seed);
         prop_assert!(broken.reorder(&vec![0; stages]).is_err());
         prop_assert!(broken.reorder(&perm[..stages - 1]).is_err());

@@ -33,12 +33,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
+use popt::core::exec::CompiledProgram;
 use popt::core::parallel::{
-    run_parallel_pipeline, run_parallel_pipeline_observed, run_parallel_pipeline_traced,
-    MorselConfig, ParallelReport,
+    run_parallel_program, run_parallel_program_observed, MorselConfig, ParallelReport,
 };
-use popt::core::predicate::CompareOp;
+use popt::core::plan::{Expr, PlanBuilder};
 use popt::core::progressive::ProgressiveConfig;
 use popt::core::ExecObservers;
 use popt::cpu::{CpuConfig, CpuPool, LlcMode};
@@ -85,31 +84,26 @@ fn tables(seed: u64) -> (Table, Table) {
 
 /// Random mixed pipeline: bit `k` of `kinds` picks select vs. join for
 /// stage `k`.
-fn build<'t>(fact: &'t Table, dim: &'t Table, stages: usize, kinds: u64, lit: i64) -> Pipeline<'t> {
-    let mut ops = Vec::new();
+fn build<'t>(
+    fact: &'t Table,
+    dim: &'t Table,
+    stages: usize,
+    kinds: u64,
+    lit: i64,
+) -> CompiledProgram<'t> {
+    let mut builder = PlanBuilder::scan(fact);
     for k in 0..stages {
-        let op = if (kinds >> k) & 1 == 1 {
-            FilterOp::join_filter(
-                fact,
-                "fk",
-                dim,
-                "payload",
-                CompareOp::Lt,
-                lit,
-                k as u32,
-                100,
-            )
-            .expect("join compiles")
+        builder = if (kinds >> k) & 1 == 1 {
+            builder.join(dim, "fk", Expr::col("payload").less_than(lit))
         } else {
-            FilterOp::select(fact, &format!("val{k}"), CompareOp::Lt, lit, k as u32, 0)
-                .expect("select compiles")
+            builder.filter(Expr::col(format!("val{k}")).less_than(lit))
         };
-        ops.push(op);
     }
-    Pipeline::new(ops, fact.rows())
-        .expect("pipeline")
-        .with_aggregate(fact, "val0")
-        .expect("aggregate")
+    builder
+        .aggregate("val0")
+        .build()
+        .compile()
+        .expect("program lowers")
 }
 
 struct Run {
@@ -139,14 +133,13 @@ fn run_config(
     if traced {
         let sink = Arc::new(MemorySink::new());
         let tracer = Arc::new(Tracer::for_workers(sink.clone(), workers));
-        let report = run_parallel_pipeline_traced(
+        let report = run_parallel_program_observed(
             &mut pipeline,
             &order,
             MorselConfig::new(morsel_tuples),
             &mut pool,
             reopt,
-            &tracer,
-            7,
+            &ExecObservers::none().with_trace(Arc::clone(&tracer), 7),
         )
         .expect("traced run succeeds");
         Run {
@@ -155,7 +148,7 @@ fn run_config(
             lanes: tracer.lanes(),
         }
     } else {
-        let report = run_parallel_pipeline(
+        let report = run_parallel_program(
             &mut pipeline,
             &order,
             MorselConfig::new(morsel_tuples),
@@ -284,7 +277,7 @@ proptest! {
 
         let mut plain_pipeline = build(&fact, &dim, stages, kinds, lit);
         let mut plain_pool = CpuPool::new(CpuConfig::tiny_test(), workers);
-        let plain = run_parallel_pipeline(
+        let plain = run_parallel_program(
             &mut plain_pipeline,
             &order,
             MorselConfig::new(morsel_tuples),
@@ -296,14 +289,13 @@ proptest! {
         let tracer = Arc::new(Tracer::disabled());
         let mut traced_pipeline = build(&fact, &dim, stages, kinds, lit);
         let mut traced_pool = CpuPool::new(CpuConfig::tiny_test(), workers);
-        let traced = run_parallel_pipeline_traced(
+        let traced = run_parallel_program_observed(
             &mut traced_pipeline,
             &order,
             MorselConfig::new(morsel_tuples),
             &mut traced_pool,
             None,
-            &tracer,
-            0,
+            &ExecObservers::none().with_trace(Arc::clone(&tracer), 0),
         )
         .expect("disabled-tracer run succeeds");
 
@@ -347,7 +339,7 @@ proptest! {
                     let mut pipeline = build(&fact, &dim, stages, kinds, lit);
                     let mut pool =
                         CpuPool::with_topology(CpuConfig::tiny_test(), workers, mode, sockets);
-                    let report = run_parallel_pipeline_observed(
+                    let report = run_parallel_program_observed(
                         &mut pipeline,
                         &order,
                         MorselConfig::new(morsel_tuples),

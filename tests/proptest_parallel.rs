@@ -9,9 +9,10 @@
 
 use proptest::prelude::*;
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
-use popt::core::parallel::{run_parallel_pipeline, run_parallel_scan, MorselConfig};
+use popt::core::exec::CompiledProgram;
+use popt::core::parallel::{run_parallel_program, run_parallel_scan, MorselConfig};
 use popt::core::plan::SelectionPlan;
+use popt::core::plan::{Expr, PlanBuilder};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
 use popt::cpu::{CpuConfig, CpuPool, SimCpu};
@@ -64,32 +65,27 @@ fn tables(seed: u64) -> (Table, Table) {
 
 /// Random mixed pipeline: bit `k` of `kinds` picks select vs. join for
 /// stage `k`; joins alternate between the co-clustered and random FK.
-fn build<'t>(fact: &'t Table, dim: &'t Table, stages: usize, kinds: u64, lit: i64) -> Pipeline<'t> {
-    let mut ops = Vec::new();
+fn build<'t>(
+    fact: &'t Table,
+    dim: &'t Table,
+    stages: usize,
+    kinds: u64,
+    lit: i64,
+) -> CompiledProgram<'t> {
+    let mut builder = PlanBuilder::scan(fact);
     for k in 0..stages {
-        let op = if (kinds >> k) & 1 == 1 {
+        builder = if (kinds >> k) & 1 == 1 {
             let fk = if k % 2 == 0 { "fk_seq" } else { "fk_rand" };
-            FilterOp::join_filter(
-                fact,
-                fk,
-                dim,
-                "payload",
-                CompareOp::Lt,
-                lit,
-                k as u32,
-                100 + k,
-            )
-            .expect("join compiles")
+            builder.join(dim, fk, Expr::col("payload").less_than(lit))
         } else {
-            FilterOp::select(fact, &format!("val{k}"), CompareOp::Lt, lit, k as u32, 0)
-                .expect("select compiles")
+            builder.filter(Expr::col(format!("val{k}")).less_than(lit))
         };
-        ops.push(op);
     }
-    Pipeline::new(ops, fact.rows())
-        .expect("pipeline")
-        .with_aggregate(fact, "val0")
-        .expect("aggregate")
+    builder
+        .aggregate("val0")
+        .build()
+        .compile()
+        .expect("program lowers")
 }
 
 proptest! {
@@ -113,7 +109,7 @@ proptest! {
             let mut pipeline = build(&fact, &dim, stages, kinds, lit);
             let mut pool = CpuPool::new(CpuConfig::tiny_test(), workers);
             let config = ProgressiveConfig { reop_interval: 2, ..Default::default() };
-            let report = run_parallel_pipeline(
+            let report = run_parallel_program(
                 &mut pipeline,
                 &(0..stages).collect::<Vec<_>>(),
                 MorselConfig::new(morsel_tuples),
@@ -161,8 +157,7 @@ proptest! {
         ).expect("plan");
         let peo: Vec<usize> = if swap { vec![2, 0, 1] } else { vec![0, 1, 2] };
 
-        use popt::core::exec::scan::CompiledSelection;
-        let compiled = CompiledSelection::compile(&t, &plan, &peo).expect("compiles");
+                let compiled = plan.compile(&t, &peo).expect("compiles");
         let mut cpu = SimCpu::new(CpuConfig::tiny_test());
         let expect = compiled.run_range(&mut cpu, 0, ROWS);
 

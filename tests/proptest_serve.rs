@@ -1,4 +1,4 @@
-//! Property: serving a random mix of queries — scan/pipeline kinds,
+//! Property: serving a random mix of queries — scan/join kinds,
 //! random priorities, arrival times, worker counts and morsel sizes,
 //! with and without progressive reoptimization — yields per-query
 //! results bit-identical to running each query alone on a single core.
@@ -8,9 +8,9 @@
 
 use proptest::prelude::*;
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
-use popt::core::exec::scan::CompiledSelection;
+use popt::core::exec::CompiledProgram;
 use popt::core::plan::SelectionPlan;
+use popt::core::plan::{Expr, PlanBuilder};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
 use popt::core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
@@ -67,14 +67,17 @@ fn scan_plan(lit: i64) -> SelectionPlan {
     .expect("plan")
 }
 
-fn build_pipeline<'t>(fact: &'t Table, dim: &'t Table, lit: i64) -> Pipeline<'t> {
-    let sel = FilterOp::select(fact, "val0", CompareOp::Lt, lit, 0, 0).expect("select");
-    let join = FilterOp::join_filter(fact, "fk", dim, "payload", CompareOp::Lt, lit, 1, 100)
-        .expect("join");
-    Pipeline::new(vec![sel, join], fact.rows())
-        .expect("pipeline")
-        .with_aggregate(fact, "val1")
-        .expect("aggregate")
+/// Selection then join, summing `val1`, starting join-first.
+fn build_pipeline<'t>(fact: &'t Table, dim: &'t Table, lit: i64) -> CompiledProgram<'t> {
+    let mut program = PlanBuilder::scan(fact)
+        .filter(Expr::col("val0").less_than(lit))
+        .join(dim, "fk", Expr::col("payload").less_than(lit))
+        .aggregate("val1")
+        .build()
+        .compile()
+        .expect("program lowers");
+    program.reorder(&[1, 0]).expect("a permutation");
+    program
 }
 
 proptest! {
@@ -118,7 +121,7 @@ proptest! {
             if (kinds >> k) & 1 == 0 {
                 let plan = scan_plan(lit);
                 let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-                let expect = CompiledSelection::compile(&fact, &plan, &[1, 0])
+                let expect = plan.compile(&fact, &[1, 0])
                     .expect("compiles")
                     .run_range(&mut cpu, 0, ROWS);
                 refs.push((expect.qualified, expect.sum));
@@ -130,10 +133,9 @@ proptest! {
                 let mut cpu = SimCpu::new(CpuConfig::tiny_test());
                 let expect = pipeline.run_range(&mut cpu, 0, ROWS);
                 refs.push((expect.qualified, expect.sum));
-                server.admit(QuerySpec::pipeline(
+                server.admit(QuerySpec::compiled(
                     format!("q{k}"),
                     build_pipeline(&fact, &dim, lit),
-                    vec![1, 0],
                     priority,
                     arrival,
                 ));

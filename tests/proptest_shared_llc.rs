@@ -10,9 +10,9 @@
 
 use proptest::prelude::*;
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
-use popt::core::parallel::{run_parallel_pipeline, MorselConfig};
-use popt::core::predicate::CompareOp;
+use popt::core::exec::CompiledProgram;
+use popt::core::parallel::{run_parallel_program, MorselConfig};
+use popt::core::plan::{Expr, PlanBuilder};
 use popt::core::progressive::ProgressiveConfig;
 use popt::cpu::{CpuConfig, CpuPool, LlcMode, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
@@ -60,31 +60,26 @@ fn tables(seed: u64) -> (Table, Table) {
 
 /// Random mixed pipeline: bit `k` of `kinds` picks select vs. join for
 /// stage `k`.
-fn build<'t>(fact: &'t Table, dim: &'t Table, stages: usize, kinds: u64, lit: i64) -> Pipeline<'t> {
-    let mut ops = Vec::new();
+fn build<'t>(
+    fact: &'t Table,
+    dim: &'t Table,
+    stages: usize,
+    kinds: u64,
+    lit: i64,
+) -> CompiledProgram<'t> {
+    let mut builder = PlanBuilder::scan(fact);
     for k in 0..stages {
-        let op = if (kinds >> k) & 1 == 1 {
-            FilterOp::join_filter(
-                fact,
-                "fk",
-                dim,
-                "payload",
-                CompareOp::Lt,
-                lit,
-                k as u32,
-                100,
-            )
-            .expect("join compiles")
+        builder = if (kinds >> k) & 1 == 1 {
+            builder.join(dim, "fk", Expr::col("payload").less_than(lit))
         } else {
-            FilterOp::select(fact, &format!("val{k}"), CompareOp::Lt, lit, k as u32, 0)
-                .expect("select compiles")
+            builder.filter(Expr::col(format!("val{k}")).less_than(lit))
         };
-        ops.push(op);
     }
-    Pipeline::new(ops, fact.rows())
-        .expect("pipeline")
-        .with_aggregate(fact, "val0")
-        .expect("aggregate")
+    builder
+        .aggregate("val0")
+        .build()
+        .compile()
+        .expect("program lowers")
 }
 
 proptest! {
@@ -109,7 +104,7 @@ proptest! {
                 let mut pipeline = build(&fact, &dim, stages, kinds, lit);
                 let mut pool = CpuPool::with_mode(CpuConfig::tiny_test(), workers, mode);
                 let config = ProgressiveConfig { reop_interval: 2, ..Default::default() };
-                let report = run_parallel_pipeline(
+                let report = run_parallel_program(
                     &mut pipeline,
                     &(0..stages).collect::<Vec<_>>(),
                     MorselConfig::new(morsel_tuples),
