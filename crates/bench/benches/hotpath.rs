@@ -14,8 +14,7 @@ use std::time::Duration;
 
 use popt_core::exec::program::CompiledProgram;
 use popt_core::parallel::{run_parallel_program, MorselConfig};
-use popt_core::plan::{Expr, LogicalPlan, PlanBuilder, SelectionPlan};
-use popt_core::predicate::{CompareOp, Predicate};
+use popt_core::plan::{Expr, LogicalPlan, PlanBuilder};
 use popt_cpu::{CpuConfig, CpuPool, SimCpu};
 use popt_storage::{AddressSpace, ColumnData, Table};
 
@@ -93,15 +92,16 @@ fn compile_join3<'t>(fact: &'t Table, dim: &'t Table, oracle: bool) -> CompiledP
 
 fn scan_serial(c: &mut Criterion) {
     let table = fact_table(ROWS);
-    let plan =
-        SelectionPlan::new(vec![Predicate::new("a", CompareOp::Lt, 500)], vec![]).expect("plan");
+    let plan = PlanBuilder::scan(&table)
+        .filter(Expr::col("a").less_than(500))
+        .build();
     let mut group = c.benchmark_group("hotpath_scan_serial");
     group.sample_size(10);
     group.warm_up_time(Duration::from_millis(400));
     group.measurement_time(Duration::from_secs(2));
     group.throughput(Throughput::Elements(ROWS as u64));
     for (name, oracle) in [("batched", false), ("scalar_oracle", true)] {
-        let mut compiled = plan.compile(&table, &[0]).expect("compiles");
+        let mut compiled = plan.compile().expect("compiles");
         compiled.set_scalar_oracle(oracle);
         group.bench_function(name, |b| {
             b.iter(|| {

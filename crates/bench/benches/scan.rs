@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 use std::time::Duration;
 
-use popt_bench::figures::workload::{uniform_plan, uniform_table};
+use popt_bench::figures::workload::{uniform_plan, uniform_program, uniform_table};
 use popt_cpu::{CpuConfig, SimCpu};
 
 const ROWS: usize = 1 << 16;
@@ -20,9 +20,7 @@ fn scan_by_predicates(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     group.throughput(Throughput::Elements(ROWS as u64));
     for preds in [1usize, 3, 5] {
-        let plan = uniform_plan(&vec![0.5; preds]);
-        let peo: Vec<usize> = (0..preds).collect();
-        let compiled = plan.compile(&table, &peo).unwrap();
+        let compiled = uniform_plan(&table, &vec![0.5; preds]).compile().unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(preds), &preds, |b, _| {
             b.iter(|| {
                 let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
@@ -35,7 +33,6 @@ fn scan_by_predicates(c: &mut Criterion) {
 
 fn scan_best_vs_worst_order(c: &mut Criterion) {
     let table = uniform_table(ROWS, 3, 0xBE7D);
-    let plan = uniform_plan(&[0.05, 0.5, 0.95]);
     let mut group = c.benchmark_group("scan_order");
     group.sample_size(10);
     group.warm_up_time(Duration::from_millis(400));
@@ -44,7 +41,7 @@ fn scan_best_vs_worst_order(c: &mut Criterion) {
         ("ascending", vec![0usize, 1, 2]),
         ("descending", vec![2usize, 1, 0]),
     ] {
-        let compiled = plan.compile(&table, &peo).unwrap();
+        let compiled = uniform_program(&table, &[0.05, 0.5, 0.95], &peo);
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());

@@ -13,7 +13,7 @@
 //! * [`header`] — the column names of the figure's table;
 //! * [`row`] — one data row (zipped against the last [`header`] in JSON
 //!   mode);
-//! * [`note!`] — free-form commentary (`# `-prefixed in text mode).
+//! * [`note!`](crate::note) — free-form commentary (`# `-prefixed in text mode).
 //!
 //! With `--json` the same calls emit one JSON object per line
 //! (`{"type":"banner"|"header"|"row"|"note", "figure": ..., ...}`), so a
@@ -309,7 +309,7 @@ pub fn row<S: AsRef<str>>(cells: &[S]) {
 
 /// Emit one commentary line. Text mode prints it verbatim (figures pass
 /// `# `-prefixed text); JSON mode strips the comment prefix and wraps
-/// the rest in a `note` object. Use via the [`note!`] macro.
+/// the rest in a `note` object. Use via the [`note!`](crate::note) macro.
 pub fn note_line(text: &str) {
     let rep = REPORTER.lock().expect("reporter lock");
     if rep.json {

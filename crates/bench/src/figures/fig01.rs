@@ -6,12 +6,14 @@
 //! the shipdate predicate is very selective (evaluating it late wastes
 //! work on every other column).
 
-use popt_core::query::QueryBuilder;
+use popt_core::plan::all_orders;
+use popt_core::query;
 use popt_cpu::{CpuConfig, SimCpu};
 use popt_storage::stats;
 use popt_storage::tpch::{generate_lineitem, TpchConfig};
 
 use crate::common::{banner, fmt, header, parallel_map, row, FigureCtx};
+use crate::figures::workload::compile_in;
 use crate::note;
 
 /// Shipdate selectivities in percent (log scale, as in the figure).
@@ -32,12 +34,10 @@ pub fn run(ctx: &FigureCtx) {
         } else {
             stats::quantile(shipdate.data(), pct / 100.0)
         };
-        let plan = QueryBuilder::q6_figure1_plan(literal);
-        let peos = plan.all_peos();
-        let cycles = parallel_map(&peos, |peo| {
+        let plan = query::q6_figure1(&table, literal);
+        let cycles = parallel_map(&all_orders(plan.nodes().len()), |peo| {
             let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
-            let compiled = plan.compile(&table, peo).expect("figure plan compiles");
-            compiled.run_range(&mut cpu, 0, rows);
+            compile_in(&plan, peo).run_range(&mut cpu, 0, rows);
             cpu.cycles()
         });
         let best = *cycles.iter().min().unwrap() as f64;

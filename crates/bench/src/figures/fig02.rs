@@ -9,7 +9,7 @@
 use popt_cpu::{CpuConfig, SimCpu};
 
 use crate::common::{banner, fmt, header, parallel_map, row, FigureCtx};
-use crate::figures::workload::{uniform_plan, uniform_table};
+use crate::figures::workload::{uniform_program, uniform_table};
 
 /// Run the figure.
 pub fn run(ctx: &FigureCtx) {
@@ -23,9 +23,8 @@ pub fn run(ctx: &FigureCtx) {
 
     let sels: Vec<f64> = (0..=20).map(|i| i as f64 * 5.0).collect();
     let measured = parallel_map(&sels, |&pct| {
-        let plan = uniform_plan(&[pct / 100.0]);
         let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let compiled = plan.compile(&table, &[0]).expect("plan compiles");
+        let compiled = uniform_program(&table, &[pct / 100.0], &[0]);
         let stats = compiled.run_range(&mut cpu, 0, rows);
         let c = stats.counters;
         [

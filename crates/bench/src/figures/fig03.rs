@@ -10,7 +10,7 @@ use popt_cost::markov::ChainSpec;
 use popt_cpu::{CpuConfig, SimCpu};
 
 use crate::common::{banner, fmt, header, parallel_map, row, FigureCtx};
-use crate::figures::workload::{uniform_plan, uniform_table};
+use crate::figures::workload::{uniform_program, uniform_table};
 use crate::note;
 
 /// The chain configurations of the figure's legend.
@@ -36,9 +36,8 @@ pub fn run(ctx: &FigureCtx) {
 
     let sels: Vec<f64> = (0..=20).map(|i| i as f64 * 5.0).collect();
     let samples = parallel_map(&sels, |&pct| {
-        let plan = uniform_plan(&[pct / 100.0]);
         let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let compiled = plan.compile(&table, &[0]).expect("plan compiles");
+        let compiled = uniform_program(&table, &[pct / 100.0], &[0]);
         let stats = compiled.run_range(&mut cpu, 0, rows);
         let n = rows as f64;
         (

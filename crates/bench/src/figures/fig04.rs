@@ -10,7 +10,7 @@ use popt_cost::markov::ChainSpec;
 use popt_cpu::{CpuConfig, SimCpu};
 
 use crate::common::{banner, fmt, header, parallel_map, row, FigureCtx};
-use crate::figures::workload::{uniform_plan, uniform_table};
+use crate::figures::workload::{uniform_program, uniform_table};
 use crate::note;
 
 /// Run the figure.
@@ -28,9 +28,8 @@ pub fn run(ctx: &FigureCtx) {
         .collect();
 
     let results = parallel_map(&grid, |&(p1, p2)| {
-        let plan = uniform_plan(&[p1, p2]);
         let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let compiled = plan.compile(&table, &[0, 1]).expect("plan compiles");
+        let compiled = uniform_program(&table, &[p1, p2], &[0, 1]);
         let stats = compiled.run_range(&mut cpu, 0, rows);
         let predicted = estimate_peo_branches(rows as u64, &[p1, p2], &ChainSpec::SIX, true);
         let ratio = |measured: u64, predicted: f64| -> f64 {

@@ -12,7 +12,7 @@ use popt_cost::piecewise;
 use popt_cpu::{CpuConfig, SimCpu};
 
 use crate::common::{banner, fmt, header, parallel_map, row, FigureCtx};
-use crate::figures::workload::{uniform_plan, uniform_table};
+use crate::figures::workload::{uniform_program, uniform_table};
 
 /// Run the figure.
 pub fn run(ctx: &FigureCtx) {
@@ -50,9 +50,8 @@ pub fn run(ctx: &FigureCtx) {
         archs
             .iter()
             .map(|(_, cfg)| {
-                let plan = uniform_plan(&[pct / 100.0]);
                 let mut cpu = SimCpu::new(cfg.clone());
-                let compiled = plan.compile(&table, &[0]).expect("plan compiles");
+                let compiled = uniform_program(&table, &[pct / 100.0], &[0]);
                 let stats = compiled.run_range(&mut cpu, 0, rows);
                 (
                     stats.counters.mispredictions(),

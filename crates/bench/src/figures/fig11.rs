@@ -6,13 +6,16 @@
 //! Progressive runtimes should be largely flat across permutations while
 //! baselines span the best/worst range.
 
-use popt_core::plan::Peo;
-use popt_core::progressive::{run_baseline, run_progressive, ProgressiveConfig, VectorConfig};
-use popt_core::query::QueryBuilder;
+use popt_core::plan::{all_orders, Peo};
+use popt_core::progressive::{
+    run_baseline, run_progressive_program, ProgressiveConfig, VectorConfig,
+};
+use popt_core::query;
 use popt_cpu::{CpuConfig, SimCpu};
 use popt_storage::tpch::{generate_lineitem, TpchConfig};
 
 use crate::common::{banner, fmt, header, parallel_map, row, subsample, FigureCtx};
+use crate::figures::workload::compile_in;
 use crate::note;
 
 /// Run the figure.
@@ -25,8 +28,8 @@ pub fn run(ctx: &FigureCtx) {
     let rows = ctx.scale(1 << 20, 1 << 17);
     let vector_tuples = ctx.scale(8_192, 4_096);
     let table = generate_lineitem(&TpchConfig::with_rows(rows));
-    let plan = QueryBuilder::q6_plan();
-    let mut peos = plan.all_peos();
+    let plan = query::q6(&table);
+    let mut peos = all_orders(plan.nodes().len());
     if ctx.quick {
         peos = subsample(&peos, 24);
     }
@@ -41,10 +44,11 @@ pub fn run(ctx: &FigureCtx) {
 
     let results: Vec<(Peo, f64, f64)> = parallel_map(&peos, |peo| {
         let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
-        let base = run_baseline(&table, &plan, peo, vectors, &mut cpu).expect("baseline runs");
+        let base = run_baseline(&compile_in(&plan, peo), vectors, &mut cpu).expect("baseline runs");
         let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
-        let prog = run_progressive(&table, &plan, peo, vectors, &mut cpu, &config)
-            .expect("progressive runs");
+        let prog =
+            run_progressive_program(&mut compile_in(&plan, peo), peo, vectors, &mut cpu, &config)
+                .expect("progressive runs");
         assert_eq!(
             base.qualified, prog.qualified,
             "result must be PEO-invariant"

@@ -5,15 +5,17 @@
 //! progressive runtime over the same 120 initial PEOs for reoptimization
 //! intervals 10, 75 and 200 vectors.
 
-use popt_core::plan::SelectionPlan;
-use popt_core::predicate::{CompareOp, Predicate};
-use popt_core::progressive::{run_baseline, run_progressive, ProgressiveConfig, VectorConfig};
+use popt_core::plan::{all_orders, Expr, LogicalPlan, PlanBuilder};
+use popt_core::progressive::{
+    run_baseline, run_progressive_program, ProgressiveConfig, VectorConfig,
+};
 use popt_core::query::{Q6_DISCOUNT_HI, Q6_DISCOUNT_LO, Q6_QUANTITY};
 use popt_cpu::{CpuConfig, SimCpu};
 use popt_storage::stats;
 use popt_storage::tpch::{generate_lineitem, TpchConfig};
 
 use crate::common::{banner, fmt, header, parallel_map, row, subsample, FigureCtx};
+use crate::figures::workload::compile_in;
 use crate::note;
 
 /// Shipdate selectivities in percent (log scale).
@@ -24,22 +26,20 @@ pub const REOP_INTERVALS: &[usize] = &[10, 75, 200];
 
 /// Q6 with the shipdate window centred in the domain and sized for the
 /// requested combined selectivity.
-pub fn q6_with_shipdate_selectivity(table: &popt_storage::Table, pct: f64) -> SelectionPlan {
+pub fn q6_with_shipdate_selectivity(table: &popt_storage::Table, pct: f64) -> LogicalPlan<'_> {
     let shipdate = table.column("l_shipdate").expect("lineitem table");
     let half = (pct / 100.0 / 2.0).min(0.5);
     let lo = stats::quantile(shipdate.data(), (0.5 - half).max(0.0));
     let hi = stats::quantile(shipdate.data(), (0.5 + half).min(1.0));
-    SelectionPlan::new(
-        vec![
-            Predicate::new("l_shipdate", CompareOp::Ge, lo),
-            Predicate::new("l_shipdate", CompareOp::Le, hi),
-            Predicate::new("l_discount", CompareOp::Ge, Q6_DISCOUNT_LO),
-            Predicate::new("l_discount", CompareOp::Le, Q6_DISCOUNT_HI),
-            Predicate::new("l_quantity", CompareOp::Lt, Q6_QUANTITY),
-        ],
-        vec!["l_extendedprice".into(), "l_discount".into()],
-    )
-    .expect("plan is non-empty")
+    PlanBuilder::scan(table)
+        .filter(Expr::col("l_shipdate").at_least(lo))
+        .filter(Expr::col("l_shipdate").at_most(hi))
+        .filter(Expr::col("l_discount").at_least(Q6_DISCOUNT_LO))
+        .filter(Expr::col("l_discount").at_most(Q6_DISCOUNT_HI))
+        .filter(Expr::col("l_quantity").less_than(Q6_QUANTITY))
+        .aggregate("l_extendedprice")
+        .aggregate("l_discount")
+        .build()
 }
 
 /// Run the figure.
@@ -69,13 +69,13 @@ pub fn run(ctx: &FigureCtx) {
     ]);
     for &pct in SELECTIVITIES_PCT {
         let plan = q6_with_shipdate_selectivity(&table, pct);
-        let all_peos = plan.all_peos();
+        let all_peos = all_orders(plan.nodes().len());
         let base_peos = subsample(&all_peos, base_sample);
         let prog_peos = subsample(&all_peos, prog_sample);
 
         let base: Vec<f64> = parallel_map(&base_peos, |peo| {
             let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
-            run_baseline(&table, &plan, peo, vectors, &mut cpu)
+            run_baseline(&compile_in(&plan, peo), vectors, &mut cpu)
                 .expect("baseline runs")
                 .millis
         });
@@ -91,9 +91,15 @@ pub fn run(ctx: &FigureCtx) {
             };
             let runs: Vec<f64> = parallel_map(&prog_peos, |peo| {
                 let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
-                run_progressive(&table, &plan, peo, vectors, &mut cpu, &config)
-                    .expect("progressive runs")
-                    .millis
+                run_progressive_program(
+                    &mut compile_in(&plan, peo),
+                    peo,
+                    vectors,
+                    &mut cpu,
+                    &config,
+                )
+                .expect("progressive runs")
+                .millis
             });
             avgs.push(runs.iter().sum::<f64>() / runs.len() as f64);
         }

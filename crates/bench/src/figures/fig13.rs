@@ -7,13 +7,17 @@
 //! the premise "the sampled vector predicts the future" fails and
 //! improvements shrink.
 
-use popt_core::progressive::{run_baseline, run_progressive, ProgressiveConfig, VectorConfig};
-use popt_core::query::QueryBuilder;
+use popt_core::plan::all_orders;
+use popt_core::progressive::{
+    run_baseline, run_progressive_program, ProgressiveConfig, VectorConfig,
+};
+use popt_core::query;
 use popt_cpu::{CpuConfig, SimCpu};
 use popt_storage::distribution::Layout;
 use popt_storage::tpch::{generate_lineitem, TpchConfig};
 
 use crate::common::{banner, fmt, header, parallel_map, row, subsample, FigureCtx};
+use crate::figures::workload::compile_in;
 use crate::note;
 
 /// The reoptimization intervals of the figure.
@@ -39,8 +43,8 @@ pub fn run(ctx: &FigureCtx) {
         ("(b) clustered", Layout::Clustered(month)),
         ("(c) random", Layout::Random),
     ];
-    let plan = QueryBuilder::q6_plan();
-    let peos = subsample(&plan.all_peos(), peo_sample);
+    // Q6 has five filters, so 120 orders.
+    let peos = subsample(&all_orders(5), peo_sample);
     let vectors = VectorConfig {
         vector_tuples,
         max_vectors: None,
@@ -49,9 +53,10 @@ pub fn run(ctx: &FigureCtx) {
     for (label, layout) in layouts {
         note!("# panel {label}");
         let table = generate_lineitem(&TpchConfig::with_rows(rows).shipdate_layout(layout));
+        let plan = query::q6(&table);
         let runs: Vec<(f64, Vec<f64>)> = parallel_map(&peos, |peo| {
             let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
-            let base = run_baseline(&table, &plan, peo, vectors, &mut cpu)
+            let base = run_baseline(&compile_in(&plan, peo), vectors, &mut cpu)
                 .expect("baseline runs")
                 .millis;
             let mut reops = Vec::new();
@@ -62,9 +67,15 @@ pub fn run(ctx: &FigureCtx) {
                 };
                 let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
                 reops.push(
-                    run_progressive(&table, &plan, peo, vectors, &mut cpu, &config)
-                        .expect("progressive runs")
-                        .millis,
+                    run_progressive_program(
+                        &mut compile_in(&plan, peo),
+                        peo,
+                        vectors,
+                        &mut cpu,
+                        &config,
+                    )
+                    .expect("progressive runs")
+                    .millis,
                 );
             }
             (base, reops)

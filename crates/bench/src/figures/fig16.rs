@@ -26,10 +26,9 @@ pub fn run(ctx: &FigureCtx) {
     let counts: Vec<usize> = (1..=max_preds).collect();
     let results = parallel_map(&counts, |&p| {
         // High per-predicate selectivity so deep positions actually run.
-        let plan = uniform_plan(&vec![0.9; p]);
-        let peo: Vec<usize> = (0..p).collect();
-
-        let plain = plan.compile(&table, &peo).expect("compiles");
+        let plain = uniform_plan(&table, &vec![0.9; p])
+            .compile()
+            .expect("compiles");
         let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
         plain.run_range(&mut cpu, 0, rows);
         let base = cpu.cycles() as f64;
@@ -46,7 +45,7 @@ pub fn run(ctx: &FigureCtx) {
         let pmu = cpu.cycles() as f64;
 
         // Enumerator variant: counter update per evaluation.
-        let inst = EnumeratedSelection::compile(&table, &plan, &peo).expect("compiles");
+        let inst = EnumeratedSelection::new(plain);
         let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
         inst.run_range(&mut cpu, 0, rows);
         let enumerated = cpu.cycles() as f64;

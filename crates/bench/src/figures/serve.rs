@@ -24,7 +24,7 @@
 //! solo single-core execution in all three experiments.
 
 use popt_core::exec::program::CompiledProgram;
-use popt_core::plan::{Expr, PlanBuilder, SelectionPlan};
+use popt_core::plan::{Expr, PlanBuilder};
 use popt_core::serve::{Priority, QueryOutcome, QueryServer, QuerySpec, ServeConfig, ServeReport};
 use popt_cost::cycles::fleet_occupancy_per_socket;
 use popt_cpu::{CpuConfig, CpuPool, LlcMode, SimCpu};
@@ -37,7 +37,7 @@ use crate::common::{
 };
 use crate::figures::fig15::scaled_cpu;
 use crate::figures::workload::{
-    fig14_mem_tables, mem_tables_with_dim, uniform_plan, uniform_table, xorshift64, DOMAIN,
+    fig14_mem_tables, mem_tables_with_dim, uniform_program, uniform_table, xorshift64, DOMAIN,
 };
 use crate::note;
 
@@ -66,13 +66,15 @@ fn cycles_to_ms(cycles: u64) -> f64 {
 /// The three query templates of the serving mix.
 struct Mix {
     scan_table: Table,
-    scan_plan: SelectionPlan,
+    /// Filter selectivities of the scan template.
+    scan_sels: [f64; 3],
     /// Descending-selectivity start: the worst static PEO.
     scan_worst: Vec<usize>,
     fact: Table,
     dim: Table,
     bg_table: Table,
-    bg_plan: SelectionPlan,
+    /// Filter selectivities of the background template.
+    bg_sels: [f64; 2],
 }
 
 impl Mix {
@@ -84,12 +86,12 @@ impl Mix {
             // let one noisy early estimate flip a warm-seeded optimum
             // back and forth (accept, revert, explore), and the churn —
             // not convergence — would dominate the warm/cold comparison.
-            scan_plan: uniform_plan(&[0.1, 0.45, 0.9]),
+            scan_sels: [0.1, 0.45, 0.9],
             scan_worst: vec![2, 1, 0],
             fact,
             dim,
             bg_table: uniform_table(bg_rows, 2, 0xB612),
-            bg_plan: uniform_plan(&[0.9, 0.5]),
+            bg_sels: [0.9, 0.5],
         }
     }
 
@@ -106,12 +108,20 @@ impl Mix {
             .expect("plan lowers to a two-stage program")
     }
 
+    /// The scan template lowered in evaluation order `order`.
+    fn scan_program(&self, order: &[usize]) -> CompiledProgram<'_> {
+        uniform_program(&self.scan_table, &self.scan_sels, order)
+    }
+
+    /// The background template, in plan order.
+    fn bg_program(&self) -> CompiledProgram<'_> {
+        uniform_program(&self.bg_table, &self.bg_sels, &[0, 1])
+    }
+
     fn scan_spec(&self, label: String, priority: Priority, arrival: u64) -> QuerySpec<'_> {
-        QuerySpec::scan(
+        QuerySpec::compiled(
             label,
-            &self.scan_table,
-            self.scan_plan.clone(),
-            self.scan_worst.clone(),
+            self.scan_program(&self.scan_worst),
             priority,
             arrival,
         )
@@ -124,32 +134,21 @@ impl Mix {
     }
 
     fn bg_spec(&self, label: String, arrival: u64) -> QuerySpec<'_> {
-        QuerySpec::scan(
-            label,
-            &self.bg_table,
-            self.bg_plan.clone(),
-            vec![0, 1],
-            Priority::Low,
-            arrival,
-        )
+        QuerySpec::compiled(label, self.bg_program(), Priority::Low, arrival)
     }
 
     /// Solo single-core references: (scan, pipeline, background) as
     /// (qualified, sum).
     fn solo_refs(&self) -> [(u64, i64); 3] {
         let mut cpu = SimCpu::new(serve_cpu());
-        let scan = self
-            .scan_plan
-            .compile(&self.scan_table, &self.scan_worst)
-            .expect("scan compiles")
-            .run_range(&mut cpu, 0, self.scan_table.rows());
+        let scan =
+            self.scan_program(&self.scan_worst)
+                .run_range(&mut cpu, 0, self.scan_table.rows());
         let mut cpu = SimCpu::new(serve_cpu());
         let pipe = self.program().run_range(&mut cpu, 0, self.fact.rows());
         let mut cpu = SimCpu::new(serve_cpu());
         let bg = self
-            .bg_plan
-            .compile(&self.bg_table, &[0, 1])
-            .expect("bg scan compiles")
+            .bg_program()
             .run_range(&mut cpu, 0, self.bg_table.rows());
         [
             (scan.qualified, scan.sum),
@@ -465,9 +464,7 @@ fn warm_vs_cold<'t>(mix: &'t Mix, refs: &[(u64, i64); 3], shared: bool) {
         let best = match template {
             "scan" => {
                 let mut cpu = SimCpu::new(serve_cpu());
-                mix.scan_plan
-                    .compile(&mix.scan_table, optimal)
-                    .expect("optimal order compiles")
+                mix.scan_program(optimal)
                     .run_range(&mut cpu, 0, mix.scan_table.rows())
                     .counters
                     .cycles

@@ -23,8 +23,7 @@
 use std::time::Instant;
 
 use popt_core::parallel::{run_parallel_program, MorselConfig};
-use popt_core::plan::SelectionPlan;
-use popt_core::predicate::{CompareOp, Predicate};
+use popt_core::plan::{Expr, PlanBuilder};
 use popt_cpu::{CpuPool, SimCpu};
 use popt_storage::{AddressSpace, ColumnData, Table};
 
@@ -99,9 +98,11 @@ pub fn run(ctx: &FigureCtx) {
     let mut space = AddressSpace::new();
     let mut table = Table::new("t");
     table.add_column("val", ColumnData::I32(val), &mut space);
-    let plan = SelectionPlan::new(vec![Predicate::new("val", CompareOp::Lt, 500)], vec![])
-        .expect("scan plan");
-    let mut compiled = plan.compile(&table, &[0]).expect("scan compiles");
+    let mut compiled = PlanBuilder::scan(&table)
+        .filter(Expr::col("val").less_than(500))
+        .build()
+        .compile()
+        .expect("scan compiles");
     let mut timed_scan = |oracle: bool| {
         compiled.set_scalar_oracle(oracle);
         best_secs(repeats, || {

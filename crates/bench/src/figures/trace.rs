@@ -8,7 +8,7 @@
 //!   LLC-thrashing random FK probe, started join-first so the loop has
 //!   work to do) runs twice on one worker with reoptimization on: once
 //!   untraced, once with the full event stream captured. The two
-//!   [`ParallelReport`]s must compare equal field-for-field — cycles,
+//!   [`ParallelReport`](popt_core::parallel::ParallelReport)s must compare equal field-for-field — cycles,
 //!   switches, orders, counters — because every stamp reads simulated
 //!   clocks the engine already maintains and the sink hangs outside the
 //!   costed path. (On multi-worker pools with reoptimization, which

@@ -4,8 +4,7 @@
 //! exercise.
 
 use popt_core::exec::program::CompiledProgram;
-use popt_core::plan::{Expr, PlanBuilder, SelectionPlan};
-use popt_core::predicate::{CompareOp, Predicate};
+use popt_core::plan::{Expr, LogicalPlan, PlanBuilder};
 use popt_storage::{AddressSpace, ColumnData, Table};
 
 /// Value domain of the uniform columns (selectivity granularity 1/10000).
@@ -192,15 +191,34 @@ pub fn literal_for(selectivity: f64) -> i64 {
     (selectivity.clamp(0.0, 1.0) * DOMAIN as f64).round() as i64
 }
 
-/// Plan with one `< literal` predicate per selectivity, on `c0, c1, …`,
-/// aggregating over `agg`.
-pub fn uniform_plan(selectivities: &[f64]) -> SelectionPlan {
-    let preds = selectivities
+/// Plan over `table` with one `< literal` filter per selectivity, on
+/// `c0, c1, …`, aggregating over `agg`.
+pub fn uniform_plan<'t>(table: &'t Table, selectivities: &[f64]) -> LogicalPlan<'t> {
+    selectivities
         .iter()
         .enumerate()
-        .map(|(i, &s)| Predicate::new(format!("c{i}"), CompareOp::Lt, literal_for(s)))
-        .collect();
-    SelectionPlan::new(preds, vec!["agg".into()]).expect("non-empty plan")
+        .fold(PlanBuilder::scan(table), |b, (i, &s)| {
+            b.filter(Expr::col(format!("c{i}")).less_than(literal_for(s)))
+        })
+        .aggregate("agg")
+        .build()
+}
+
+/// [`uniform_plan`] lowered in evaluation order `order`.
+pub fn uniform_program<'t>(
+    table: &'t Table,
+    selectivities: &[f64],
+    order: &[usize],
+) -> CompiledProgram<'t> {
+    compile_in(&uniform_plan(table, selectivities), order)
+}
+
+/// Lower `plan` (one stage per filter, in plan order) and switch it to
+/// evaluation order `order`.
+pub fn compile_in<'t>(plan: &LogicalPlan<'t>, order: &[usize]) -> CompiledProgram<'t> {
+    let mut program = plan.compile().expect("plan lowers");
+    program.reorder(order).expect("valid evaluation order");
+    program
 }
 
 /// A star-schema workload: one fact table with three foreign keys into
@@ -341,9 +359,11 @@ mod tests {
 
     #[test]
     fn plan_matches_requested_arity() {
-        let p = uniform_plan(&[0.5, 0.1, 0.9]);
+        let t = uniform_table(64, 3, 7);
+        let p = uniform_program(&t, &[0.5, 0.1, 0.9], &[2, 0, 1]);
         assert_eq!(p.len(), 3);
-        assert_eq!(p.predicates[1].literal, literal_for(0.1));
+        assert_eq!(p.order(), &[2, 0, 1]);
+        assert_eq!(p.stage(1).literal(), literal_for(0.1));
     }
 
     #[test]

@@ -15,8 +15,7 @@ use std::time::Instant;
 
 use popt_bench::figures::fig14::scaled_cpu;
 use popt_bench::figures::workload::xorshift64;
-use popt_core::plan::SelectionPlan;
-use popt_core::predicate::{CompareOp, Predicate};
+use popt_core::plan::{Expr, PlanBuilder};
 use popt_cpu::SimCpu;
 use popt_storage::{AddressSpace, ColumnData, Table};
 
@@ -34,9 +33,11 @@ fn batched_scan_is_at_least_3x_scalar_oracle() {
     let mut space = AddressSpace::new();
     let mut table = Table::new("t");
     table.add_column("val", ColumnData::I32(val), &mut space);
-    let plan = SelectionPlan::new(vec![Predicate::new("val", CompareOp::Lt, 500)], vec![])
-        .expect("scan plan");
-    let mut compiled = plan.compile(&table, &[0]).expect("scan compiles");
+    let mut compiled = PlanBuilder::scan(&table)
+        .filter(Expr::col("val").less_than(500))
+        .build()
+        .compile()
+        .expect("scan compiles");
 
     let mut best = |oracle: bool| {
         compiled.set_scalar_oracle(oracle);

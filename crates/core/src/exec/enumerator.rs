@@ -15,11 +15,8 @@
 //! per-position pass counts.
 
 use popt_cpu::SimCpu;
-use popt_storage::Table;
 
-use crate::error::EngineError;
 use crate::exec::program::{CompiledProgram, VectorStats};
-use crate::plan::SelectionPlan;
 
 /// Instructions charged per counter update (load, add, store, address
 /// math).
@@ -48,15 +45,9 @@ pub struct EnumeratedStats {
 }
 
 impl<'t> EnumeratedSelection<'t> {
-    /// Compile the instrumented variant of `plan`.
-    pub fn compile(
-        table: &'t Table,
-        plan: &SelectionPlan,
-        peo: &[usize],
-    ) -> Result<Self, EngineError> {
-        Ok(Self {
-            inner: plan.compile(table, peo)?,
-        })
+    /// The instrumented variant of `program`, in its current order.
+    pub fn new(program: CompiledProgram<'t>) -> Self {
+        Self { inner: program }
     }
 
     /// Execute rows `start..end` with counter instrumentation: every
@@ -78,7 +69,7 @@ impl<'t> EnumeratedSelection<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predicate::{CompareOp, Predicate};
+    use crate::plan::{Expr, PlanBuilder};
     use popt_cpu::CpuConfig;
     use popt_storage::{AddressSpace, ColumnData, Table};
 
@@ -95,23 +86,22 @@ mod tests {
         t
     }
 
-    fn plan(preds: usize) -> SelectionPlan {
-        SelectionPlan::new(
-            (0..preds)
-                .map(|c| Predicate::new(format!("c{c}"), CompareOp::Lt, 60))
-                .collect(),
-            vec![],
-        )
-        .unwrap()
+    /// `c0 < 60 AND … AND c{preds-1} < 60` in plan order.
+    fn program(t: &Table, preds: usize) -> CompiledProgram<'_> {
+        (0..preds)
+            .fold(PlanBuilder::scan(t), |b, c| {
+                b.filter(Expr::col(format!("c{c}")).less_than(60))
+            })
+            .build()
+            .compile()
+            .unwrap()
     }
 
     #[test]
     fn instrumentation_costs_cycles_but_preserves_results() {
         let t = table(4000);
-        let p = plan(4);
-        let peo: Vec<usize> = (0..4).collect();
-        let plain = p.compile(&t, &peo).unwrap();
-        let inst = EnumeratedSelection::compile(&t, &p, &peo).unwrap();
+        let plain = program(&t, 4);
+        let inst = EnumeratedSelection::new(plain.clone());
         let mut cpu1 = SimCpu::new(CpuConfig::tiny_test());
         let mut cpu2 = SimCpu::new(CpuConfig::tiny_test());
         let s1 = plain.run_range(&mut cpu1, 0, 4000);
@@ -124,8 +114,7 @@ mod tests {
     #[test]
     fn pass_counts_are_exact() {
         let t = table(4000);
-        let p = plan(3);
-        let inst = EnumeratedSelection::compile(&t, &p, &[0, 1, 2]).unwrap();
+        let inst = EnumeratedSelection::new(program(&t, 3));
         let mut cpu = SimCpu::new(CpuConfig::tiny_test());
         let s = inst.run_range(&mut cpu, 0, 4000);
         // Last position's passes are the qualifying tuples.
@@ -140,10 +129,8 @@ mod tests {
     #[test]
     fn overhead_is_substantial_versus_pmu_sampling() {
         let t = table(4000);
-        let p = plan(4);
-        let peo: Vec<usize> = (0..4).collect();
-        let plain = p.compile(&t, &peo).unwrap();
-        let inst = EnumeratedSelection::compile(&t, &p, &peo).unwrap();
+        let plain = program(&t, 4);
+        let inst = EnumeratedSelection::new(plain.clone());
 
         let mut cpu1 = SimCpu::new(CpuConfig::tiny_test());
         let base = plain.run_range(&mut cpu1, 0, 4000).counters.cycles as f64;

@@ -19,9 +19,8 @@
 //! test its payload. Both are filters over the fact stream, so operators
 //! reorder exactly like predicates.
 //!
-//! Lowering ([`CompiledProgram::from_plan`], or
-//! [`crate::plan::SelectionPlan::compile`] for a plain multi-selection
-//! plan) emits a compact *stage table* plus a separate evaluation-order
+//! Lowering ([`CompiledProgram::from_plan`]) emits a compact *stage
+//! table* plus a separate evaluation-order
 //! permutation. A progressive reorder is therefore a cheap re-emit of the
 //! permutation ([`CompiledProgram::reorder`]) — the vectorized engine's
 //! "chaining pre-compiled primitives in the new order" of Section 4.4 —
@@ -1287,11 +1286,10 @@ mod tests {
         assert_eq!(plain.hot_set_bytes(), projected.hot_set_bytes());
     }
 
-    /// Selection plans lowered through [`crate::plan::SelectionPlan::compile`].
+    /// Plain multi-selection plans: one `column OP literal` stage per
+    /// filter, in plan order.
     mod selection {
         use super::*;
-        use crate::plan::SelectionPlan;
-        use crate::predicate::Predicate;
 
         fn test_table(n: usize) -> Table {
             let mut space = AddressSpace::new();
@@ -1311,25 +1309,28 @@ mod tests {
             t
         }
 
-        fn plan() -> SelectionPlan {
-            SelectionPlan::new(
-                vec![
-                    Predicate::new("a", CompareOp::Lt, 50),
-                    Predicate::new("b", CompareOp::Lt, 5),
-                ],
-                vec!["agg".into()],
-            )
-            .unwrap()
+        /// `a < 50` (charging `a_cost` extra instructions) then `b < 5`,
+        /// summing `agg`, lowered in evaluation order `peo`.
+        fn program<'t>(t: &'t Table, a_cost: u64, peo: &[usize]) -> CompiledProgram<'t> {
+            let mut program = PlanBuilder::scan(t)
+                .filter_costed(Expr::col("a").less_than(50), a_cost)
+                .filter(Expr::col("b").less_than(5))
+                .aggregate("agg")
+                .build()
+                .compile()
+                .unwrap();
+            program.reorder(peo).unwrap();
+            program
         }
 
-        fn run(t: &Table, plan: &SelectionPlan, peo: &[usize], rows: usize) -> VectorStats {
-            plan.compile(t, peo).unwrap().run_range(&mut cpu(), 0, rows)
+        fn run(t: &Table, a_cost: u64, peo: &[usize], rows: usize) -> VectorStats {
+            program(t, a_cost, peo).run_range(&mut cpu(), 0, rows)
         }
 
         #[test]
         fn counts_and_counter_identities_are_exact() {
             let t = test_table(1000);
-            let stats = run(&t, &plan(), &[0, 1], 1000);
+            let stats = run(&t, 0, &[0, 1], 1000);
             // a < 50: 50%, b < 5: 50%, independent by construction.
             assert_eq!(stats.qualified, 250);
             assert_eq!(stats.sum, 500); // 2 per qualifying tuple
@@ -1347,8 +1348,8 @@ mod tests {
         #[test]
         fn result_is_peo_invariant_and_short_circuits() {
             let t = test_table(2000);
-            let s01 = run(&t, &plan(), &[0, 1], 2000);
-            let s10 = run(&t, &plan(), &[1, 0], 2000);
+            let s01 = run(&t, 0, &[0, 1], 2000);
+            let s10 = run(&t, 0, &[1, 0], 2000);
             assert_eq!((s01.qualified, s01.sum), (s10.qualified, s10.sum));
             // Order a-first reads a 2000x, b 1000x, agg 500x.
             let loads = s01.counters.l1_accesses + s01.counters.l1_element_hits;
@@ -1358,23 +1359,25 @@ mod tests {
         #[test]
         fn lowering_rejects_bad_plans() {
             let t = test_table(10);
-            let bad =
-                SelectionPlan::new(vec![Predicate::new("nope", CompareOp::Lt, 1)], vec![]).unwrap();
+            let bad = PlanBuilder::scan(&t)
+                .filter(Expr::col("nope").less_than(1))
+                .build();
             assert_eq!(
-                bad.compile(&t, &[0]).unwrap_err(),
+                bad.compile().unwrap_err(),
                 EngineError::UnknownColumn("nope".into())
             );
             assert!(matches!(
-                plan().compile(&t, &[0, 0]).unwrap_err(),
+                program(&t, 0, &[0, 1]).reorder(&[0, 0]).unwrap_err(),
                 EngineError::InvalidPeo { .. }
             ));
             let mut space = AddressSpace::new();
             let mut wide = Table::new("t");
             wide.add_column("w", ColumnData::I64(vec![1, 2, 3]), &mut space);
-            let p =
-                SelectionPlan::new(vec![Predicate::new("w", CompareOp::Lt, 2)], vec![]).unwrap();
+            let p = PlanBuilder::scan(&wide)
+                .filter(Expr::col("w").less_than(2))
+                .build();
             assert_eq!(
-                p.compile(&wide, &[0]).unwrap_err(),
+                p.compile().unwrap_err(),
                 EngineError::UnsupportedColumnType("w".into())
             );
         }
@@ -1382,7 +1385,7 @@ mod tests {
         #[test]
         fn predicate_index_is_stage_index_and_branch_site() {
             let t = test_table(10);
-            let program = plan().compile(&t, &[1, 0]).unwrap();
+            let program = program(&t, 0, &[1, 0]);
             assert_eq!(program.order(), &[1, 0]);
             assert_eq!(program.stage(0).literal(), 50);
             assert_eq!(program.stage(1).compare_op(), CompareOp::Lt);
@@ -1392,7 +1395,7 @@ mod tests {
         #[test]
         fn empty_range_is_empty_stats() {
             let t = test_table(100);
-            let program = plan().compile(&t, &[0, 1]).unwrap();
+            let program = program(&t, 0, &[0, 1]);
             let stats = program.run_range(&mut cpu(), 50, 50);
             assert_eq!(stats.tuples, 0);
             assert_eq!(stats.qualified, 0);
@@ -1402,10 +1405,8 @@ mod tests {
         #[test]
         fn expensive_predicate_costs_more() {
             let t = test_table(1000);
-            let mut expensive = plan();
-            expensive.predicates[0].extra_instructions = 100;
-            let s1 = run(&t, &plan(), &[0, 1], 1000);
-            let s2 = run(&t, &expensive, &[0, 1], 1000);
+            let s1 = run(&t, 0, &[0, 1], 1000);
+            let s2 = run(&t, 100, &[0, 1], 1000);
             assert!(s2.counters.cycles > s1.counters.cycles);
             assert_eq!(s1.qualified, s2.qualified);
         }
@@ -1413,9 +1414,12 @@ mod tests {
         #[test]
         fn count_only_plan_has_zero_sum() {
             let t = test_table(100);
-            let p =
-                SelectionPlan::new(vec![Predicate::new("a", CompareOp::Lt, 50)], vec![]).unwrap();
-            let stats = run(&t, &p, &[0], 100);
+            let program = PlanBuilder::scan(&t)
+                .filter(Expr::col("a").less_than(50))
+                .build()
+                .compile()
+                .unwrap();
+            let stats = program.run_range(&mut cpu(), 0, 100);
             assert_eq!(stats.sum, 0);
             assert_eq!(stats.qualified, 50);
         }

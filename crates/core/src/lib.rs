@@ -6,8 +6,8 @@
 //! plus the sortedness/co-clusteredness detection that extends the
 //! approach to join ordering (Sections 5.5–5.6).
 //!
-//! * [`predicate`] / [`plan`] — predicate and plan representation, PEO
-//!   permutation utilities, and the **query frontend**: a typed
+//! * [`predicate`] / [`plan`] — comparison operators, PEO permutation
+//!   utilities, and the **query frontend**: a typed
 //!   [`plan::LogicalPlan`] builder ([`plan::PlanBuilder`], the single
 //!   entry door for query construction), static optimizer passes
 //!   ([`plan::PassRegistry`]: constant folding, join-condition
@@ -21,8 +21,7 @@
 //! * [`progressive`] — the progressive optimization loop of Figure 10:
 //!   sample counters per vector, estimate selectivities, reorder, trial,
 //!   revert on regression. Every query lowers to one compiled program
-//!   and one loop drives it ([`progressive::run_progressive_program`];
-//!   [`progressive::run_progressive`] lowers a selection plan first):
+//!   and one loop drives it ([`progressive::run_progressive_program`]):
 //!   stages are ranked by estimated cost per input tuple and probe
 //!   locality is calibrated from the counters (Sections 5.5–5.6);
 //! * [`parallel`] — morsel-driven parallel execution with *shared*
@@ -37,21 +36,29 @@
 //!   repeated query template start from its last converged state;
 //! * [`sortedness`] — counter-based access-pattern classification and join
 //!   reordering advice;
-//! * [`query`] — a high-level builder API (TPC-H Q6 ships as a preset).
+//! * [`query`] — the paper's queries as [`plan::PlanBuilder`] presets
+//!   (TPC-H Q6 and the Figure 1 plan).
 //!
 //! ```
-//! use popt_core::query::{QueryBuilder, RunMode};
+//! use popt_core::progressive::{
+//!     run_baseline, run_progressive_program, ProgressiveConfig, VectorConfig,
+//! };
+//! use popt_core::query;
+//! use popt_cpu::{CpuConfig, SimCpu};
 //! use popt_storage::tpch::{generate_lineitem, TpchConfig};
 //!
 //! let table = generate_lineitem(&TpchConfig::tiny());
-//! let baseline = QueryBuilder::q6(&table)
-//!     .run(RunMode::Baseline)
-//!     .unwrap();
-//! let optimized = QueryBuilder::q6(&table)
-//!     .run(RunMode::Progressive { reop_interval: 2 })
-//!     .unwrap();
+//! let mut program = query::q6(&table).compile().unwrap();
+//! let vectors = VectorConfig { vector_tuples: 8192, max_vectors: None };
+//! let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
+//! let baseline = run_baseline(&program, vectors, &mut cpu).unwrap();
+//! let config = ProgressiveConfig { reop_interval: 2, ..Default::default() };
+//! let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
+//! let optimized =
+//!     run_progressive_program(&mut program, &[4, 3, 2, 1, 0], vectors, &mut cpu, &config)
+//!         .unwrap();
 //! // Same answer, independent of how the plan was reordered mid-query.
-//! assert_eq!(baseline.result.sum, optimized.result.sum);
+//! assert_eq!(baseline.sum, optimized.sum);
 //! ```
 
 pub mod error;
@@ -69,16 +76,15 @@ pub use error::EngineError;
 pub use exec::program::{CompiledProgram, CompiledStage};
 pub use observe::ExecObservers;
 pub use parallel::{
-    run_parallel_program, run_parallel_program_observed, run_parallel_scan, MorselConfig,
-    MorselDispatcher, ParallelReport,
+    run_parallel_program, run_parallel_program_observed, MorselConfig, MorselDispatcher,
+    ParallelReport,
 };
-pub use plan::{Expr, LogicalNode, LogicalPlan, PassRegistry, Peo, PlanBuilder, SelectionPlan};
-pub use predicate::{CompareOp, Predicate};
+pub use plan::{Expr, LogicalNode, LogicalPlan, PassRegistry, Peo, PlanBuilder};
+pub use predicate::CompareOp;
 pub use progressive::{
-    run_baseline, run_progressive, run_progressive_program, run_progressive_program_observed,
-    ProgressiveConfig, ProgressiveReport, VectorConfig,
+    run_baseline, run_progressive_program, run_progressive_program_observed, ProgressiveConfig,
+    ProgressiveReport, VectorConfig,
 };
-pub use query::{QueryBuilder, QueryReport, RunMode};
 pub use serve::{
     CacheStats, OrderCache, Priority, QueryServer, QuerySpec, ServeConfig, ServeReport,
     StrideScheduler, WarmRecordOutcome, WorkloadSignature,

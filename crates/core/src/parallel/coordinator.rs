@@ -26,7 +26,7 @@
 //!   than one core, while the other workers keep streaming at full
 //!   speed under the incumbent order.
 //!
-//! The coordination state itself is factored into [`CoordState`], whose
+//! The coordination state itself is factored into `CoordState`, whose
 //! methods are each a *locked step* of the protocol (the caller holds
 //! whatever mutex guards the state; the expensive Nelder–Mead estimate
 //! always runs between two locked steps, outside the lock). This module
@@ -46,8 +46,7 @@ use popt_solver::{estimate_selectivities, EstimateResult, SampledCounters};
 use crate::error::EngineError;
 use crate::exec::program::{CompiledProgram, VectorStats};
 use crate::observe::{front_stage_key, morsel_stage_parts, record_fit_drift, ExecObservers};
-use crate::plan::{Peo, SelectionPlan};
-use popt_storage::Table;
+use crate::plan::Peo;
 
 use crate::progressive::{CompiledTarget, ProgressiveConfig, SwitchEvent};
 
@@ -875,24 +874,6 @@ enum MorselMode {
     Normal { epoch: u64 },
     /// Executed under the leased trial order.
     Trial,
-}
-
-/// Execute `plan` over `table` with morsel-driven parallelism across the
-/// pool's cores, optionally with shared progressive reoptimization: the
-/// plan is lowered to a [`CompiledProgram`] and run through
-/// [`run_parallel_program`]. The parallel generalization of
-/// [`crate::progressive::run_baseline`] /
-/// [`crate::progressive::run_progressive`].
-pub fn run_parallel_scan(
-    table: &Table,
-    plan: &SelectionPlan,
-    initial_peo: &[usize],
-    morsels: MorselConfig,
-    pool: &mut CpuPool,
-    reopt: Option<&ProgressiveConfig>,
-) -> Result<ParallelReport, EngineError> {
-    let mut program = plan.compile(table, initial_peo)?;
-    run_parallel_program(&mut program, initial_peo, morsels, pool, reopt)
 }
 
 /// Execute a compiled program with morsel-driven parallelism, optionally

@@ -26,8 +26,7 @@
 //! worker executes its own clone of the [`crate::exec::CompiledProgram`]
 //! over the same immutable column data (the stage table borrows the
 //! columns, so the clone is cheap and re-chaining is a permutation
-//! re-emit). A selection plan runs through [`run_parallel_scan`], which
-//! lowers it first.
+//! re-emit).
 //!
 //! Results are bit-identical to the single-core executor for any worker
 //! count and morsel size: qualifying counts and aggregate sums are
@@ -35,9 +34,8 @@
 //! partitioning nor the completion order can change them.
 //!
 //! ```
-//! use popt_core::parallel::{run_parallel_scan, MorselConfig};
-//! use popt_core::plan::SelectionPlan;
-//! use popt_core::predicate::{CompareOp, Predicate};
+//! use popt_core::parallel::{run_parallel_program, MorselConfig};
+//! use popt_core::plan::{Expr, PlanBuilder};
 //! use popt_cpu::{CpuConfig, CpuPool};
 //! use popt_storage::{AddressSpace, ColumnData, Table};
 //!
@@ -48,12 +46,14 @@
 //!     ColumnData::I32((0..8192).map(|i| (i % 128) as i32).collect()),
 //!     &mut space,
 //! );
-//! let plan =
-//!     SelectionPlan::new(vec![Predicate::new("a", CompareOp::Lt, 50)], vec![]).unwrap();
+//! let mut program = PlanBuilder::scan(&table)
+//!     .filter(Expr::col("a").less_than(50))
+//!     .build()
+//!     .compile()
+//!     .unwrap();
 //! let mut pool = CpuPool::new(CpuConfig::tiny_test(), 4);
-//! let report = run_parallel_scan(
-//!     &table,
-//!     &plan,
+//! let report = run_parallel_program(
+//!     &mut program,
 //!     &[0],
 //!     MorselConfig::new(1024),
 //!     &mut pool,
@@ -67,7 +67,5 @@
 pub mod coordinator;
 pub mod morsel;
 
-pub use coordinator::{
-    run_parallel_program, run_parallel_program_observed, run_parallel_scan, ParallelReport,
-};
+pub use coordinator::{run_parallel_program, run_parallel_program_observed, ParallelReport};
 pub use morsel::{MorselConfig, MorselDispatcher};

@@ -69,34 +69,39 @@ impl Expr {
         Expr::Lit(v)
     }
 
+    /// `self OP rhs`.
+    pub fn compare(self, op: CompareOp, rhs: impl Into<Expr>) -> Expr {
+        Expr::Cmp(Box::new(self), op, Box::new(rhs.into()))
+    }
+
     /// `self < rhs`.
     pub fn less_than(self, rhs: impl Into<Expr>) -> Expr {
-        Expr::Cmp(Box::new(self), CompareOp::Lt, Box::new(rhs.into()))
+        self.compare(CompareOp::Lt, rhs)
     }
 
     /// `self <= rhs`.
     pub fn at_most(self, rhs: impl Into<Expr>) -> Expr {
-        Expr::Cmp(Box::new(self), CompareOp::Le, Box::new(rhs.into()))
+        self.compare(CompareOp::Le, rhs)
     }
 
     /// `self > rhs`.
     pub fn greater_than(self, rhs: impl Into<Expr>) -> Expr {
-        Expr::Cmp(Box::new(self), CompareOp::Gt, Box::new(rhs.into()))
+        self.compare(CompareOp::Gt, rhs)
     }
 
     /// `self >= rhs`.
     pub fn at_least(self, rhs: impl Into<Expr>) -> Expr {
-        Expr::Cmp(Box::new(self), CompareOp::Ge, Box::new(rhs.into()))
+        self.compare(CompareOp::Ge, rhs)
     }
 
     /// `self == rhs`.
     pub fn equal_to(self, rhs: impl Into<Expr>) -> Expr {
-        Expr::Cmp(Box::new(self), CompareOp::Eq, Box::new(rhs.into()))
+        self.compare(CompareOp::Eq, rhs)
     }
 
     /// `self != rhs`.
     pub fn not_equal_to(self, rhs: impl Into<Expr>) -> Expr {
-        Expr::Cmp(Box::new(self), CompareOp::Ne, Box::new(rhs.into()))
+        self.compare(CompareOp::Ne, rhs)
     }
 
     /// `self AND rhs`.

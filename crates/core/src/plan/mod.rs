@@ -1,16 +1,12 @@
-//! Selection plans and predicate evaluation orders (PEOs).
+//! The query frontend and predicate evaluation orders (PEOs).
 //!
-//! A multi-selection plan is an unordered *set* of conjunctive predicates
-//! plus an aggregate; the **PEO** — the order in which the predicates are
-//! wired into the short-circuit loop — is the runtime degree of freedom
-//! the progressive optimizer adjusts (Section 2.1).
-//!
-//! The module also hosts the query frontend: [`logical`] holds the
-//! [`logical::LogicalPlan`] builder layer (typed scan/filter/join/
-//! aggregate nodes over arbitrary boolean predicate expressions) and
-//! [`passes`] the static optimizer passes that rewrite a logical plan
-//! before it is lowered to the compiled stage form
-//! (`crate::exec::program`).
+//! [`logical`] holds the [`LogicalPlan`] builder layer ([`PlanBuilder`]:
+//! typed scan/filter/join/aggregate nodes over arbitrary boolean
+//! predicate expressions) and [`passes`] the static optimizer passes that
+//! rewrite a logical plan before it is lowered to the compiled stage form
+//! (`crate::exec::program`). The **PEO** — the order in which the lowered
+//! stages are wired into the short-circuit loop — is the runtime degree
+//! of freedom the progressive optimizer adjusts (Section 2.1).
 
 pub mod logical;
 pub mod passes;
@@ -18,17 +14,11 @@ pub mod passes;
 pub use logical::{Expr, LogicalNode, LogicalPlan, PlanBuilder};
 pub use passes::PassRegistry;
 
-use popt_storage::Table;
-
-use crate::error::EngineError;
-use crate::exec::program::CompiledProgram;
-use crate::predicate::Predicate;
-
-/// A predicate evaluation order: a permutation of plan predicate indices.
+/// A predicate evaluation order: a permutation of stage indices.
 pub type Peo = Vec<usize>;
 
 /// Whether `order` is a permutation of `0..stages` — the one validity
-/// rule every order-bearing structure shares (plans, pipelines, the
+/// rule every order-bearing structure shares (compiled programs, the
 /// serving layer's order cache).
 pub fn is_valid_peo(order: &[usize], stages: usize) -> bool {
     let mut seen = vec![false; stages];
@@ -38,109 +28,16 @@ pub fn is_valid_peo(order: &[usize], stages: usize) -> bool {
             .all(|&i| i < stages && !std::mem::replace(&mut seen[i], true))
 }
 
-/// A multi-selection query plan with a sum aggregate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SelectionPlan {
-    /// The conjunctive predicates, in plan (not evaluation) order.
-    pub predicates: Vec<Predicate>,
-    /// Columns summed for qualifying tuples (empty = count only).
-    pub aggregate_columns: Vec<String>,
-}
-
-impl SelectionPlan {
-    /// Build a plan; at least one predicate is required.
-    pub fn new(
-        predicates: Vec<Predicate>,
-        aggregate_columns: Vec<String>,
-    ) -> Result<Self, EngineError> {
-        if predicates.is_empty() {
-            return Err(EngineError::EmptyPlan);
-        }
-        Ok(Self {
-            predicates,
-            aggregate_columns,
-        })
-    }
-
-    /// Number of predicates.
-    pub fn len(&self) -> usize {
-        self.predicates.len()
-    }
-
-    /// Whether the plan has no predicates (never true post-construction).
-    pub fn is_empty(&self) -> bool {
-        self.predicates.is_empty()
-    }
-
-    /// The identity PEO `0, 1, …, p-1`.
-    pub fn identity_peo(&self) -> Peo {
-        (0..self.len()).collect()
-    }
-
-    /// Validate that `peo` is a permutation of this plan's predicates.
-    pub fn validate_peo(&self, peo: &[usize]) -> Result<(), EngineError> {
-        if is_valid_peo(peo, self.len()) {
-            Ok(())
-        } else {
-            Err(EngineError::InvalidPeo {
-                expected: self.len(),
-                got: peo.to_vec(),
-            })
-        }
-    }
-
-    /// Lower the plan over `table` to the compiled stage form, in
-    /// evaluation order `peo`. The plan goes through [`PlanBuilder`] like
-    /// every other query: each predicate becomes one costed filter (its
-    /// `extra_instructions` charged per evaluation), each aggregate column
-    /// one aggregate. Every predicate lowers to exactly one stage, so a
-    /// PEO over predicate indices is an order over stage indices.
-    pub fn compile<'t>(
-        &self,
-        table: &'t Table,
-        peo: &[usize],
-    ) -> Result<CompiledProgram<'t>, EngineError> {
-        self.validate_peo(peo)?;
-        let mut builder = PlanBuilder::scan(table);
-        for p in &self.predicates {
-            let test = Expr::Cmp(
-                Box::new(Expr::col(p.column.as_str())),
-                p.op,
-                Box::new(Expr::lit(p.literal)),
-            );
-            builder = builder.filter_costed(test, p.extra_instructions);
-        }
-        for column in &self.aggregate_columns {
-            builder = builder.aggregate(column.as_str());
-        }
-        let mut program = builder.build().compile()?;
-        assert_eq!(
-            program.len(),
-            self.len(),
-            "every predicate lowers to exactly one stage"
-        );
-        program.reorder(peo)?;
-        Ok(program)
-    }
-
-    /// All `p!` PEOs in lexicographic order (the 120 permutations of
-    /// Figures 11/13 for Q6's five predicates). Guarded against blowups.
-    pub fn all_peos(&self) -> Vec<Peo> {
-        assert!(self.len() <= 8, "refusing to enumerate more than 8! orders");
-        let mut result = Vec::new();
-        let mut current = self.identity_peo();
-        permutations(&mut current, 0, &mut result);
-        result.sort();
-        result
-    }
-
-    /// Render a PEO as predicate text, e.g. for figure output.
-    pub fn describe_peo(&self, peo: &[usize]) -> String {
-        peo.iter()
-            .map(|&i| self.predicates[i].display())
-            .collect::<Vec<_>>()
-            .join(" AND ")
-    }
+/// All `stages!` orders of `0..stages` in lexicographic order (the 120
+/// permutations of Figures 11/13 for Q6's five predicates). Guarded
+/// against blowups.
+pub fn all_orders(stages: usize) -> Vec<Peo> {
+    assert!(stages <= 8, "refusing to enumerate more than 8! orders");
+    let mut result = Vec::new();
+    let mut current: Peo = (0..stages).collect();
+    permutations(&mut current, 0, &mut result);
+    result.sort();
+    result
 }
 
 fn permutations(current: &mut Vec<usize>, k: usize, out: &mut Vec<Peo>) {
@@ -155,34 +52,17 @@ fn permutations(current: &mut Vec<usize>, k: usize, out: &mut Vec<Peo>) {
     }
 }
 
-/// Order predicate indices ascending by estimated selectivity — the
-/// reorder rule of Section 4.4 ("we reorder the predicates according to
-/// the best estimation so far"): most selective first minimizes work.
-///
-/// `selectivities` are given in the order of `current_peo`; the result is
-/// a new PEO over plan indices.
-pub fn order_by_selectivity(current_peo: &[usize], selectivities: &[f64]) -> Peo {
-    assert_eq!(current_peo.len(), selectivities.len());
-    let mut pairs: Vec<(f64, usize)> = selectivities
-        .iter()
-        .copied()
-        .zip(current_peo.iter().copied())
-        .collect();
-    // Stable order with plan index as tie-breaker for determinism.
-    pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-    pairs.into_iter().map(|(_, idx)| idx).collect()
-}
-
 /// Order stage indices by the classic rank `cost / (1 − selectivity)`,
 /// ascending — the optimal order for independent filters with differing
-/// per-tuple costs. With equal costs this degenerates to
-/// [`order_by_selectivity`]; with an LLC-thrashing join probe in the mix
+/// per-tuple costs. With equal costs this degenerates to ascending
+/// selectivity (the Section 4.4 rule: most selective first); with an
+/// LLC-thrashing join probe in the mix
 /// it is what keeps a cheap selection in front of an expensive probe even
 /// when the probe is the more selective stage (Sections 5.5–5.6).
 ///
 /// `costs` and `selectivities` are given in the order of `current_order`;
-/// a stage with selectivity ≥ 1 filters nothing and sorts last (by cost,
-/// then plan index).
+/// a stage with selectivity ≥ 1 or NaN filters nothing and sorts last
+/// (by cost, then plan index).
 pub fn order_by_cost_per_tuple(
     current_order: &[usize],
     costs: &[f64],
@@ -194,12 +74,12 @@ pub fn order_by_cost_per_tuple(
         .iter()
         .enumerate()
         .map(|(j, &idx)| {
-            let s = selectivities[j].clamp(0.0, 1.0);
+            let s = selectivities[j];
             let c = costs[j].max(0.0);
-            let rank = if s >= 1.0 {
+            let rank = if s.is_nan() || s >= 1.0 {
                 f64::INFINITY
             } else {
-                c / (1.0 - s)
+                c / (1.0 - s.max(0.0))
             };
             (rank, c, idx)
         })
@@ -216,77 +96,40 @@ pub fn order_by_cost_per_tuple(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predicate::CompareOp;
 
-    fn plan(p: usize) -> SelectionPlan {
-        let preds = (0..p)
-            .map(|i| Predicate::new(format!("c{i}"), CompareOp::Lt, 10))
-            .collect();
-        SelectionPlan::new(preds, vec!["agg".into()]).unwrap()
+    #[test]
+    fn order_validation() {
+        assert!(is_valid_peo(&[0, 1, 2], 3));
+        assert!(is_valid_peo(&[2, 0, 1], 3));
+        assert!(!is_valid_peo(&[0, 1], 3));
+        assert!(!is_valid_peo(&[0, 1, 1], 3));
+        assert!(!is_valid_peo(&[0, 1, 3], 3));
     }
 
     #[test]
-    fn empty_plan_rejected() {
-        assert_eq!(
-            SelectionPlan::new(vec![], vec![]).unwrap_err(),
-            EngineError::EmptyPlan
-        );
+    fn all_orders_counts_factorial() {
+        assert_eq!(all_orders(1).len(), 1);
+        assert_eq!(all_orders(3).len(), 6);
+        assert_eq!(all_orders(5).len(), 120);
     }
 
     #[test]
-    fn peo_validation() {
-        let p = plan(3);
-        assert!(p.validate_peo(&[0, 1, 2]).is_ok());
-        assert!(p.validate_peo(&[2, 0, 1]).is_ok());
-        assert!(p.validate_peo(&[0, 1]).is_err());
-        assert!(p.validate_peo(&[0, 1, 1]).is_err());
-        assert!(p.validate_peo(&[0, 1, 3]).is_err());
-    }
-
-    #[test]
-    fn all_peos_counts_factorial() {
-        assert_eq!(plan(1).all_peos().len(), 1);
-        assert_eq!(plan(3).all_peos().len(), 6);
-        assert_eq!(plan(5).all_peos().len(), 120);
-    }
-
-    #[test]
-    fn all_peos_are_distinct_permutations() {
-        let p = plan(4);
-        let orders = p.all_peos();
+    fn all_orders_are_distinct_sorted_permutations() {
+        let orders = all_orders(4);
         assert_eq!(orders.len(), 24);
-        for o in &orders {
-            assert!(p.validate_peo(o).is_ok());
-        }
-        let mut dedup = orders.clone();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 24);
+        assert!(orders.iter().all(|o| is_valid_peo(o, 4)));
+        assert!(orders.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(orders[0], vec![0, 1, 2, 3]);
     }
 
     #[test]
-    fn order_by_selectivity_ascending() {
-        let peo = vec![2, 0, 1];
-        let sels = vec![0.9, 0.1, 0.5];
-        // predicate 2 has sel 0.9, predicate 0 has 0.1, predicate 1 has 0.5
-        assert_eq!(order_by_selectivity(&peo, &sels), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn order_by_selectivity_tie_breaks_by_plan_index() {
-        let peo = vec![3, 1, 2, 0];
-        let sels = vec![0.5, 0.5, 0.5, 0.5];
-        assert_eq!(order_by_selectivity(&peo, &sels), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn cost_rank_reduces_to_selectivity_with_equal_costs() {
-        let peo = vec![2usize, 0, 1];
-        let sels = vec![0.9, 0.1, 0.5];
-        let costs = vec![3.0, 3.0, 3.0];
-        assert_eq!(
-            order_by_cost_per_tuple(&peo, &costs, &sels),
-            order_by_selectivity(&peo, &sels)
-        );
+    fn equal_costs_order_by_ascending_selectivity() {
+        // Stage 2 has sel 0.9, stage 0 has 0.1, stage 1 has 0.5.
+        let order = order_by_cost_per_tuple(&[2, 0, 1], &[3.0; 3], &[0.9, 0.1, 0.5]);
+        assert_eq!(order, vec![0, 1, 2]);
+        // Ties break by plan index.
+        let order = order_by_cost_per_tuple(&[3, 1, 2, 0], &[1.0; 4], &[0.5; 4]);
+        assert_eq!(order, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -311,9 +154,10 @@ mod tests {
     }
 
     #[test]
-    fn describe_peo_renders_in_order() {
-        let p = plan(2);
-        let s = p.describe_peo(&[1, 0]);
-        assert_eq!(s, "c1 < 10 AND c0 < 10");
+    fn nan_selectivity_filters_nothing_and_goes_last() {
+        assert_eq!(
+            order_by_cost_per_tuple(&[0, 1], &[1.0, 2.0], &[f64::NAN, 0.5]),
+            vec![1, 0]
+        );
     }
 }

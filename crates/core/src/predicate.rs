@@ -1,4 +1,4 @@
-//! Predicates over columns: the atoms of a multi-selection query.
+//! Comparison operators: the atoms of every filter predicate.
 
 /// Comparison operator of a predicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,50 +72,6 @@ impl CompareOp {
     }
 }
 
-/// One conjunct of a multi-selection query: `column OP literal`, with an
-/// optional extra per-evaluation instruction cost for modelling expensive
-/// predicates (UDFs, `LIKE`, …; Section 5.5 uses one).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Predicate {
-    /// Name of the column the predicate reads.
-    pub column: String,
-    /// Comparison operator.
-    pub op: CompareOp,
-    /// Literal to compare against.
-    pub literal: i64,
-    /// Extra instructions charged per evaluation (0 for plain compares).
-    pub extra_instructions: u64,
-}
-
-impl Predicate {
-    /// A plain comparison predicate.
-    pub fn new(column: impl Into<String>, op: CompareOp, literal: i64) -> Self {
-        Self {
-            column: column.into(),
-            op,
-            literal,
-            extra_instructions: 0,
-        }
-    }
-
-    /// Mark the predicate as expensive (builder style).
-    pub fn expensive(mut self, extra_instructions: u64) -> Self {
-        self.extra_instructions = extra_instructions;
-        self
-    }
-
-    /// Evaluate against a value.
-    #[inline]
-    pub fn eval(&self, value: i64) -> bool {
-        self.op.eval(value, self.literal)
-    }
-
-    /// Human-readable rendering, e.g. `l_quantity < 24`.
-    pub fn display(&self) -> String {
-        format!("{} {} {}", self.column, self.op.symbol(), self.literal)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,19 +107,5 @@ mod tests {
             assert_eq!(op.negated().negated(), op);
             assert_eq!(op.swapped().swapped(), op);
         }
-    }
-
-    #[test]
-    fn predicate_eval_and_display() {
-        let p = Predicate::new("l_quantity", CompareOp::Lt, 24);
-        assert!(p.eval(23));
-        assert!(!p.eval(24));
-        assert_eq!(p.display(), "l_quantity < 24");
-    }
-
-    #[test]
-    fn expensive_builder() {
-        let p = Predicate::new("x", CompareOp::Eq, 0).expensive(50);
-        assert_eq!(p.extra_instructions, 50);
     }
 }

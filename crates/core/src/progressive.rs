@@ -23,11 +23,9 @@
 //!
 //! Sections 5.5–5.6 generalize the approach from predicate orders to
 //! *operator* orders — expensive selections versus foreign-key join
-//! filters. Every query lowers to one [`CompiledProgram`] (a
-//! [`SelectionPlan`] through [`SelectionPlan::compile`], a logical plan
-//! through [`crate::plan::LogicalPlan::compile`]), and one loop drives it:
-//! [`run_progressive`] for a selection plan, [`run_progressive_program`]
-//! for any compiled program. The reorder decision ranks stages by
+//! filters. Every query lowers to one [`CompiledProgram`] (through
+//! [`crate::plan::LogicalPlan::compile`]), and one loop drives it:
+//! [`run_progressive_program`]. The reorder decision ranks stages by
 //! estimated **cost per input tuple** (an LLC-thrashing probe is not
 //! comparable to a register compare), and each join's probe clustering is
 //! *calibrated* from the sampled counters — the Equation-1 comparison of
@@ -39,12 +37,11 @@ use popt_cost::estimate::{estimate_counters, PlanGeometry};
 use popt_cpu::pmu::CounterDelta;
 use popt_cpu::{CpuConfig, NumaPlacement, SimCpu};
 use popt_solver::{estimate_selectivities, CalibrationSnapshot, EstimatorConfig, SampledCounters};
-use popt_storage::Table;
 
 use crate::error::EngineError;
 use crate::exec::program::{CompiledProgram, VectorStats};
 use crate::observe::{front_stage_key, morsel_stage_parts, record_fit_drift, ExecObservers};
-use crate::plan::{order_by_cost_per_tuple, Peo, SelectionPlan};
+use crate::plan::{order_by_cost_per_tuple, Peo};
 
 /// Streaming footprint one scanned column claims in the last-level
 /// cache, for [`CompiledProgram::hot_set_bytes`] declarations: streamed
@@ -207,17 +204,14 @@ impl VectorConfig {
     }
 }
 
-/// Execute `plan` with a fixed PEO — the paper's "common execution
-/// pattern" baseline.
+/// Execute `program` in its current order for the whole run — the
+/// paper's "common execution pattern" baseline.
 pub fn run_baseline(
-    table: &Table,
-    plan: &SelectionPlan,
-    peo: &[usize],
+    program: &CompiledProgram<'_>,
     vectors: VectorConfig,
     cpu: &mut SimCpu,
 ) -> Result<ProgressiveReport, EngineError> {
-    let program = plan.compile(table, peo)?;
-    let ranges = vectors.ranges(table.rows())?;
+    let ranges = vectors.ranges(program.rows())?;
     let mut total = VectorStats::zero();
     let mut per_vector = Vec::with_capacity(ranges.len());
     for &(start, end) in &ranges {
@@ -232,7 +226,7 @@ pub fn run_baseline(
         Vec::new(),
         0,
         0,
-        peo.to_vec(),
+        program.order().to_vec(),
         per_vector,
         freq,
     ))
@@ -531,21 +525,6 @@ impl<'t> CompiledTarget<'t> {
         }
         weights
     }
-}
-
-/// Execute `plan` starting from `initial_peo` with progressive
-/// optimization enabled: the plan is lowered to a [`CompiledProgram`] and
-/// run through [`run_progressive_program`].
-pub fn run_progressive(
-    table: &Table,
-    plan: &SelectionPlan,
-    initial_peo: &[usize],
-    vectors: VectorConfig,
-    cpu: &mut SimCpu,
-    config: &ProgressiveConfig,
-) -> Result<ProgressiveReport, EngineError> {
-    let mut program = plan.compile(table, initial_peo)?;
-    run_progressive_program(&mut program, initial_peo, vectors, cpu, config)
 }
 
 /// Execute a compiled program starting from `initial_order` with
@@ -854,7 +833,7 @@ fn run_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predicate::{CompareOp, Predicate};
+    use crate::plan::{Expr, PlanBuilder};
     use popt_cpu::CpuConfig;
     use popt_storage::{AddressSpace, ColumnData, Table};
 
@@ -885,16 +864,29 @@ mod tests {
         t
     }
 
-    fn skewed_plan() -> SelectionPlan {
-        SelectionPlan::new(
-            vec![
-                Predicate::new("lo", CompareOp::Lt, 5),
-                Predicate::new("mid", CompareOp::Lt, 50),
-                Predicate::new("hi", CompareOp::Lt, 95),
-            ],
-            vec![],
-        )
-        .unwrap()
+    /// `lo < 5`, `mid < 50`, `hi < 95` over [`skewed_table`], in `order`.
+    fn skewed_program<'t>(t: &'t Table, order: &[usize]) -> CompiledProgram<'t> {
+        let mut program = PlanBuilder::scan(t)
+            .filter(Expr::col("lo").less_than(5))
+            .filter(Expr::col("mid").less_than(50))
+            .filter(Expr::col("hi").less_than(95))
+            .build()
+            .compile()
+            .unwrap();
+        program.reorder(order).unwrap();
+        program
+    }
+
+    /// Progressive run of the skewed program from `order`.
+    fn progressive(
+        t: &Table,
+        order: &[usize],
+        vectors: VectorConfig,
+        cpu: &mut SimCpu,
+        config: &ProgressiveConfig,
+    ) -> Result<ProgressiveReport, EngineError> {
+        let mut program = skewed_program(t, &[0, 1, 2]);
+        run_progressive_program(&mut program, order, vectors, cpu, config)
     }
 
     fn vectors() -> VectorConfig {
@@ -907,14 +899,12 @@ mod tests {
     #[test]
     fn baseline_and_progressive_agree_on_results() {
         let t = skewed_table(16_384);
-        let plan = skewed_plan();
         let worst = vec![2usize, 1, 0];
         let mut cpu1 = SimCpu::new(CpuConfig::ivy_bridge());
-        let base = run_baseline(&t, &plan, &worst, vectors(), &mut cpu1).unwrap();
+        let base = run_baseline(&skewed_program(&t, &worst), vectors(), &mut cpu1).unwrap();
         let mut cpu2 = SimCpu::new(CpuConfig::ivy_bridge());
-        let prog = run_progressive(
+        let prog = progressive(
             &t,
-            &plan,
             &worst,
             vectors(),
             &mut cpu2,
@@ -931,12 +921,10 @@ mod tests {
     #[test]
     fn progressive_converges_to_ascending_selectivity_order() {
         let t = skewed_table(16_384);
-        let plan = skewed_plan();
         let worst = vec![2usize, 1, 0]; // hi, mid, lo: descending selectivity
         let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let prog = run_progressive(
+        let prog = progressive(
             &t,
-            &plan,
             &worst,
             vectors(),
             &mut cpu,
@@ -959,14 +947,12 @@ mod tests {
     #[test]
     fn progressive_beats_bad_baseline() {
         let t = skewed_table(16_384);
-        let plan = skewed_plan();
         let worst = vec![2usize, 1, 0];
         let mut cpu1 = SimCpu::new(CpuConfig::ivy_bridge());
-        let base = run_baseline(&t, &plan, &worst, vectors(), &mut cpu1).unwrap();
+        let base = run_baseline(&skewed_program(&t, &worst), vectors(), &mut cpu1).unwrap();
         let mut cpu2 = SimCpu::new(CpuConfig::ivy_bridge());
-        let prog = run_progressive(
+        let prog = progressive(
             &t,
-            &plan,
             &worst,
             vectors(),
             &mut cpu2,
@@ -987,12 +973,10 @@ mod tests {
     #[test]
     fn good_initial_order_is_left_alone() {
         let t = skewed_table(16_384);
-        let plan = skewed_plan();
         let best = vec![0usize, 1, 2];
         let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let prog = run_progressive(
+        let prog = progressive(
             &t,
-            &plan,
             &best,
             vectors(),
             &mut cpu,
@@ -1009,11 +993,9 @@ mod tests {
     #[test]
     fn zero_reop_interval_is_rejected() {
         let t = skewed_table(1024);
-        let plan = skewed_plan();
         let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-        let err = run_progressive(
+        let err = progressive(
             &t,
-            &plan,
             &[0, 1, 2],
             vectors(),
             &mut cpu,
@@ -1044,11 +1026,9 @@ mod tests {
     #[test]
     fn optimizer_cycles_are_accounted() {
         let t = skewed_table(8192);
-        let plan = skewed_plan();
         let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let prog = run_progressive(
+        let prog = progressive(
             &t,
-            &plan,
             &[2, 1, 0],
             vectors(),
             &mut cpu,
@@ -1070,12 +1050,10 @@ mod tests {
         // suppress the re-proposal for exactly `rejection_ttl` rounds —
         // pruned every reopt round, so proposals resume on schedule.
         let t = skewed_table(16_384);
-        let plan = skewed_plan();
         let ttl = 3usize;
         let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let prog = run_progressive(
+        let prog = progressive(
             &t,
-            &plan,
             &[2, 1, 0],
             VectorConfig {
                 vector_tuples: 512,
@@ -1121,11 +1099,9 @@ mod tests {
         // the final vector of the scan: the regression must be detected
         // and the switch reverted rather than silently accepted.
         let t = skewed_table(4096);
-        let plan = skewed_plan();
         let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let prog = run_progressive(
+        let prog = progressive(
             &t,
-            &plan,
             &[2, 1, 0],
             VectorConfig {
                 vector_tuples: 2048,
@@ -1152,7 +1128,6 @@ mod tests {
 
     mod pipeline {
         use super::*;
-        use crate::plan::{Expr, PlanBuilder};
         use popt_cpu::CacheLevelConfig;
 
         /// Small hierarchy (4/16/64 KiB) so a modest dimension table
@@ -1346,12 +1321,10 @@ mod tests {
     #[test]
     fn exploration_fires_only_when_stalled() {
         let t = skewed_table(16_384);
-        let plan = skewed_plan();
         // A converging run never explores.
         let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let converging = run_progressive(
+        let converging = progressive(
             &t,
-            &plan,
             &[2, 1, 0],
             VectorConfig {
                 vector_tuples: 512,
@@ -1370,9 +1343,8 @@ mod tests {
         // proposals are rejected, the run stalls, and exploration must
         // kick in.
         let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let stalled = run_progressive(
+        let stalled = progressive(
             &t,
-            &plan,
             &[2, 1, 0],
             VectorConfig {
                 vector_tuples: 512,

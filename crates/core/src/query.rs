@@ -1,19 +1,17 @@
-//! High-level query API: build, configure, run, report.
+//! The paper's workhorse queries as [`PlanBuilder`] presets.
 //!
-//! Wraps plan construction, CPU selection and the baseline/progressive
-//! runners behind a builder, and ships the paper's workhorse query — TPC-H
-//! Q6 in the five-predicate form of Section 5.2 (shipdate window, discount
-//! window, quantity cap, 120 possible PEOs) — as a preset.
+//! TPC-H Q6 in the five-predicate form of Section 5.2 (shipdate window,
+//! discount window, quantity cap, 120 possible orders) and the
+//! four-predicate Figure 1 variant. Each preset has one filter per
+//! predicate, in the order listed, then the revenue aggregate. Lower a
+//! preset with [`LogicalPlan::compile`], not after
+//! [`LogicalPlan::optimize`]: filter pushdown may reorder the filters,
+//! and then an order over the listed predicates would stop indexing the
+//! same stages.
 
-use popt_cpu::{CpuConfig, SimCpu};
 use popt_storage::Table;
 
-use crate::error::EngineError;
-use crate::plan::{Peo, SelectionPlan};
-use crate::predicate::{CompareOp, Predicate};
-use crate::progressive::{
-    run_baseline, run_progressive, ProgressiveConfig, ProgressiveReport, SwitchEvent, VectorConfig,
-};
+use crate::plan::{Expr, LogicalPlan, PlanBuilder};
 
 /// Day numbers (since 1992-01-01) of the Q6 shipdate window
 /// `[1994-01-01, 1995-01-01)`.
@@ -27,218 +25,71 @@ pub const Q6_DISCOUNT_HI: i64 = 7;
 /// Q6 quantity bound (`l_quantity < 24`).
 pub const Q6_QUANTITY: i64 = 24;
 
-/// How to execute the query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunMode {
-    /// Fixed PEO for the whole run (the paper's "common execution
-    /// pattern").
-    Baseline,
-    /// Progressive optimization with the given reoptimization interval in
-    /// vectors.
-    Progressive {
-        /// Vectors between optimization attempts.
-        reop_interval: usize,
-    },
+/// TPC-H Q6 in the paper's five-predicate form over a `lineitem` table:
+///
+/// ```sql
+/// SELECT sum(l_extendedprice * l_discount)
+/// FROM lineitem
+/// WHERE l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01'
+///   AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24
+/// ```
+pub fn q6(table: &Table) -> LogicalPlan<'_> {
+    PlanBuilder::scan(table)
+        .filter(Expr::col("l_shipdate").at_least(Q6_SHIPDATE_LO))
+        .filter(Expr::col("l_shipdate").less_than(Q6_SHIPDATE_HI))
+        .filter(Expr::col("l_discount").at_least(Q6_DISCOUNT_LO))
+        .filter(Expr::col("l_discount").at_most(Q6_DISCOUNT_HI))
+        .filter(Expr::col("l_quantity").less_than(Q6_QUANTITY))
+        .aggregate("l_extendedprice")
+        .aggregate("l_discount")
+        .build()
 }
 
-/// The logical query answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryResult {
-    /// Qualifying tuples.
-    pub rows_qualified: u64,
-    /// Aggregate sum.
-    pub sum: i64,
-}
-
-/// Everything a run produced: answer, timing, and optimizer telemetry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryReport {
-    /// The logical answer.
-    pub result: QueryResult,
-    /// Simulated milliseconds.
-    pub millis: f64,
-    /// Simulated cycles (including optimizer time).
-    pub cycles: u64,
-    /// Vectors executed.
-    pub vectors: usize,
-    /// PEO switch history.
-    pub switches: Vec<SwitchEvent>,
-    /// Order in effect at the end.
-    pub final_peo: Peo,
-    /// Full counter totals.
-    pub counters: popt_cpu::pmu::CounterDelta,
-    /// Estimator invocations.
-    pub estimates: usize,
-}
-
-impl From<ProgressiveReport> for QueryReport {
-    fn from(r: ProgressiveReport) -> Self {
-        QueryReport {
-            result: QueryResult {
-                rows_qualified: r.qualified,
-                sum: r.sum,
-            },
-            millis: r.millis,
-            cycles: r.cycles,
-            vectors: r.vectors,
-            switches: r.switches,
-            final_peo: r.final_peo,
-            counters: r.counters,
-            estimates: r.estimates,
-        }
-    }
-}
-
-/// Builder for configuring and running a multi-selection query.
-pub struct QueryBuilder<'t> {
-    table: &'t Table,
-    plan: SelectionPlan,
-    initial_peo: Option<Peo>,
-    vector_tuples: usize,
-    max_vectors: Option<usize>,
-    cpu_config: CpuConfig,
-    progressive: ProgressiveConfig,
-}
-
-impl<'t> QueryBuilder<'t> {
-    /// Default tuples per vector.
-    pub const DEFAULT_VECTOR_TUPLES: usize = 8192;
-
-    /// A query from an explicit plan.
-    pub fn new(table: &'t Table, plan: SelectionPlan) -> Self {
-        Self {
-            table,
-            plan,
-            initial_peo: None,
-            vector_tuples: Self::DEFAULT_VECTOR_TUPLES,
-            max_vectors: None,
-            cpu_config: CpuConfig::xeon_e5_2630_v2(),
-            progressive: ProgressiveConfig::default(),
-        }
-    }
-
-    /// TPC-H Q6 in the paper's five-predicate form over a `lineitem`
-    /// table:
-    ///
-    /// ```sql
-    /// SELECT sum(l_extendedprice * l_discount)
-    /// FROM lineitem
-    /// WHERE l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01'
-    ///   AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24
-    /// ```
-    pub fn q6(table: &'t Table) -> Self {
-        Self::new(table, Self::q6_plan())
-    }
-
-    /// The Q6 plan itself (five predicates; revenue aggregate).
-    pub fn q6_plan() -> SelectionPlan {
-        SelectionPlan::new(
-            vec![
-                Predicate::new("l_shipdate", CompareOp::Ge, Q6_SHIPDATE_LO),
-                Predicate::new("l_shipdate", CompareOp::Lt, Q6_SHIPDATE_HI),
-                Predicate::new("l_discount", CompareOp::Ge, Q6_DISCOUNT_LO),
-                Predicate::new("l_discount", CompareOp::Le, Q6_DISCOUNT_HI),
-                Predicate::new("l_quantity", CompareOp::Lt, Q6_QUANTITY),
-            ],
-            vec!["l_extendedprice".into(), "l_discount".into()],
-        )
-        .expect("Q6 plan is non-empty")
-    }
-
-    /// The four-predicate Q6 variant of Figure 1 (single shipdate bound
-    /// with a configurable literal).
-    pub fn q6_figure1_plan(shipdate_le: i64) -> SelectionPlan {
-        SelectionPlan::new(
-            vec![
-                Predicate::new("l_shipdate", CompareOp::Le, shipdate_le),
-                Predicate::new("l_quantity", CompareOp::Lt, Q6_QUANTITY),
-                Predicate::new("l_discount", CompareOp::Ge, Q6_DISCOUNT_LO),
-                Predicate::new("l_discount", CompareOp::Le, Q6_DISCOUNT_HI),
-            ],
-            vec!["l_extendedprice".into(), "l_discount".into()],
-        )
-        .expect("plan is non-empty")
-    }
-
-    /// Set the initial PEO (defaults to plan order).
-    pub fn initial_peo(mut self, peo: Peo) -> Self {
-        self.initial_peo = Some(peo);
-        self
-    }
-
-    /// Set tuples per vector.
-    pub fn vector_tuples(mut self, tuples: usize) -> Self {
-        self.vector_tuples = tuples;
-        self
-    }
-
-    /// Cap the number of vectors executed.
-    pub fn vectors(mut self, max: usize) -> Self {
-        self.max_vectors = Some(max);
-        self
-    }
-
-    /// Select the simulated CPU.
-    pub fn cpu(mut self, config: CpuConfig) -> Self {
-        self.cpu_config = config;
-        self
-    }
-
-    /// Override the progressive-optimizer configuration (the run mode's
-    /// `reop_interval` still wins).
-    pub fn progressive_config(mut self, config: ProgressiveConfig) -> Self {
-        self.progressive = config;
-        self
-    }
-
-    /// Access the plan (e.g. to enumerate PEOs).
-    pub fn plan(&self) -> &SelectionPlan {
-        &self.plan
-    }
-
-    /// Execute and report.
-    pub fn run(self, mode: RunMode) -> Result<QueryReport, EngineError> {
-        let peo = match self.initial_peo {
-            Some(p) => {
-                self.plan.validate_peo(&p)?;
-                p
-            }
-            None => self.plan.identity_peo(),
-        };
-        let vectors = VectorConfig {
-            vector_tuples: self.vector_tuples,
-            max_vectors: self.max_vectors,
-        };
-        let mut cpu = SimCpu::new(self.cpu_config);
-        let report = match mode {
-            RunMode::Baseline => run_baseline(self.table, &self.plan, &peo, vectors, &mut cpu)?,
-            RunMode::Progressive { reop_interval } => {
-                let config = ProgressiveConfig {
-                    reop_interval,
-                    ..self.progressive
-                };
-                run_progressive(self.table, &self.plan, &peo, vectors, &mut cpu, &config)?
-            }
-        };
-        Ok(report.into())
-    }
+/// The four-predicate Q6 variant of Figure 1: a single shipdate bound
+/// `l_shipdate <= shipdate_le`, then quantity and the discount window.
+pub fn q6_figure1(table: &Table, shipdate_le: i64) -> LogicalPlan<'_> {
+    PlanBuilder::scan(table)
+        .filter(Expr::col("l_shipdate").at_most(shipdate_le))
+        .filter(Expr::col("l_quantity").less_than(Q6_QUANTITY))
+        .filter(Expr::col("l_discount").at_least(Q6_DISCOUNT_LO))
+        .filter(Expr::col("l_discount").at_most(Q6_DISCOUNT_HI))
+        .aggregate("l_extendedprice")
+        .aggregate("l_discount")
+        .build()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::EngineError;
+    use crate::plan::all_orders;
+    use crate::progressive::{
+        run_baseline, run_progressive_program, ProgressiveConfig, ProgressiveReport, VectorConfig,
+    };
+    use popt_cpu::{CpuConfig, SimCpu};
     use popt_storage::stats;
     use popt_storage::tpch::{generate_lineitem, TpchConfig};
+
+    const VECTORS: VectorConfig = VectorConfig {
+        vector_tuples: 8192,
+        max_vectors: None,
+    };
+
+    fn baseline(t: &Table, vectors: VectorConfig) -> ProgressiveReport {
+        let program = q6(t).compile().unwrap();
+        let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
+        run_baseline(&program, vectors, &mut cpu).unwrap()
+    }
 
     #[test]
     fn q6_runs_and_counts_plausibly() {
         let t = generate_lineitem(&TpchConfig::tiny());
-        let report = QueryBuilder::q6(&t).run(RunMode::Baseline).unwrap();
+        let report = baseline(&t, VECTORS);
         let n = t.rows() as f64;
         // Independent selectivities: shipdate ~1/7 (365/2526), discount
         // 3/11, quantity 23/50.
         let expected = n * (365.0 / 2526.0) * (3.0 / 11.0) * (23.0 / 50.0);
-        let got = report.result.rows_qualified as f64;
+        let got = report.qualified as f64;
         assert!(
             (got - expected).abs() / expected < 0.25,
             "got {got}, expected ≈ {expected}"
@@ -249,7 +100,7 @@ mod tests {
     #[test]
     fn q6_result_matches_ground_truth_scan() {
         let t = generate_lineitem(&TpchConfig::tiny());
-        let report = QueryBuilder::q6(&t).run(RunMode::Baseline).unwrap();
+        let report = baseline(&t, VECTORS);
         // Recompute with a plain host-side scan.
         let ship = t.column("l_shipdate").unwrap().data().as_i32().unwrap();
         let disc = t.column("l_discount").unwrap().data().as_i32().unwrap();
@@ -274,51 +125,73 @@ mod tests {
                 sum += i64::from(price[i]) * d;
             }
         }
-        assert_eq!(report.result.rows_qualified, count);
-        assert_eq!(report.result.sum, sum);
+        assert_eq!(report.qualified, count);
+        assert_eq!(report.sum, sum);
     }
 
     #[test]
-    fn progressive_mode_reports_switches_field() {
+    fn progressive_run_reports_estimates() {
         let t = generate_lineitem(&TpchConfig::tiny());
+        let mut program = q6(&t).compile().unwrap();
+        let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
         // Deliberately bad initial order: least selective first.
-        let report = QueryBuilder::q6(&t)
-            .initial_peo(vec![4, 3, 2, 1, 0])
-            .vector_tuples(2048)
-            .run(RunMode::Progressive { reop_interval: 1 })
-            .unwrap();
+        let report = run_progressive_program(
+            &mut program,
+            &[4, 3, 2, 1, 0],
+            VectorConfig {
+                vector_tuples: 2048,
+                max_vectors: None,
+            },
+            &mut cpu,
+            &ProgressiveConfig {
+                reop_interval: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         assert!(report.estimates > 0);
     }
 
     #[test]
-    fn invalid_initial_peo_is_rejected() {
+    fn invalid_initial_order_is_rejected() {
         let t = generate_lineitem(&TpchConfig::tiny());
-        let err = QueryBuilder::q6(&t)
-            .initial_peo(vec![0, 1])
-            .run(RunMode::Baseline)
-            .unwrap_err();
+        let mut program = q6(&t).compile().unwrap();
+        let err = program.reorder(&[0, 1]).unwrap_err();
+        assert!(matches!(err, EngineError::InvalidPeo { .. }));
+        let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
+        let err = run_progressive_program(
+            &mut program,
+            &[0, 1],
+            VECTORS,
+            &mut cpu,
+            &ProgressiveConfig::default(),
+        )
+        .unwrap_err();
         assert!(matches!(err, EngineError::InvalidPeo { .. }));
     }
 
     #[test]
     fn vector_cap_limits_work() {
         let t = generate_lineitem(&TpchConfig::tiny());
-        let full = QueryBuilder::q6(&t).run(RunMode::Baseline).unwrap();
-        let capped = QueryBuilder::q6(&t)
-            .vectors(1)
-            .run(RunMode::Baseline)
-            .unwrap();
+        let full = baseline(&t, VECTORS);
+        let capped = baseline(
+            &t,
+            VectorConfig {
+                max_vectors: Some(1),
+                ..VECTORS
+            },
+        );
         assert!(capped.vectors < full.vectors);
         assert!(capped.cycles < full.cycles);
     }
 
     #[test]
-    fn figure1_plan_has_four_predicates() {
+    fn figure1_plan_has_four_stages() {
         let t = generate_lineitem(&TpchConfig::tiny());
         let ship = t.column("l_shipdate").unwrap();
         let v = stats::quantile(ship.data(), 0.01);
-        let plan = QueryBuilder::q6_figure1_plan(v);
-        assert_eq!(plan.len(), 4);
-        assert_eq!(plan.all_peos().len(), 24);
+        let program = q6_figure1(&t, v).compile().unwrap();
+        assert_eq!(program.len(), 4);
+        assert_eq!(all_orders(program.len()).len(), 24);
     }
 }

@@ -391,8 +391,7 @@ impl OrderCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{Expr, PlanBuilder, SelectionPlan};
-    use crate::predicate::Predicate;
+    use crate::plan::{Expr, PlanBuilder};
     use popt_storage::{AddressSpace, ColumnData, Table};
 
     fn table() -> Table {
@@ -403,27 +402,28 @@ mod tests {
         t
     }
 
-    fn plan(literal: i64) -> SelectionPlan {
-        SelectionPlan::new(
-            vec![
-                Predicate::new("a", CompareOp::Lt, literal),
-                Predicate::new("b", CompareOp::Ge, 7),
-            ],
-            vec![],
-        )
-        .unwrap()
+    /// `a < literal`: the literal-bearing filter of the test template.
+    fn plan(literal: i64) -> Expr {
+        Expr::col("a").less_than(literal)
     }
 
-    fn signature(t: &Table, plan: &SelectionPlan) -> WorkloadSignature {
-        WorkloadSignature::of_compiled(&plan.compile(t, &plan.identity_peo()).unwrap())
+    /// Signature of `first AND b >= 7` over `t`.
+    fn signature(t: &Table, first: Expr) -> WorkloadSignature {
+        let program = PlanBuilder::scan(t)
+            .filter(first)
+            .filter(Expr::col("b").at_least(7))
+            .build()
+            .compile()
+            .unwrap();
+        WorkloadSignature::of_compiled(&program)
     }
 
     #[test]
     fn signature_treats_literals_as_features_not_identity() {
         let t = table();
-        let a = signature(&t, &plan(10));
-        let same = signature(&t, &plan(10));
-        let slid = signature(&t, &plan(11));
+        let a = signature(&t, plan(10));
+        let same = signature(&t, plan(10));
+        let slid = signature(&t, plan(11));
         assert_eq!(a, same);
         assert_eq!(
             a, slid,
@@ -433,33 +433,9 @@ mod tests {
         assert_eq!(slid.literals(), &[11, 7], "literals still ride along");
         // A structural change — different operator — is a different
         // template even with identical literals.
-        let structural = SelectionPlan::new(
-            vec![
-                Predicate::new("a", CompareOp::Ge, 10),
-                Predicate::new("b", CompareOp::Ge, 7),
-            ],
-            vec![],
-        )
-        .unwrap();
-        let other = signature(&t, &structural);
+        let other = signature(&t, Expr::col("a").at_least(10));
         assert_ne!(a, other, "operator change must miss the template");
         assert_eq!(a.stages(), 2);
-    }
-
-    #[test]
-    fn lowered_selection_plan_matches_the_builder_signature() {
-        let t = table();
-        let built = PlanBuilder::scan(&t)
-            .filter(Expr::col("a").less_than(10))
-            .filter(Expr::col("b").at_least(7))
-            .build()
-            .compile()
-            .unwrap();
-        assert_eq!(
-            signature(&t, &plan(10)),
-            WorkloadSignature::of_compiled(&built),
-            "a lowered selection plan and the equivalent built plan share a template"
-        );
     }
 
     #[test]
@@ -487,7 +463,7 @@ mod tests {
     #[test]
     fn cache_roundtrip_counts_hits_and_updates() {
         let t = table();
-        let sig = signature(&t, &plan(10));
+        let sig = signature(&t, plan(10));
         let mut cache = OrderCache::new();
         assert!(cache.is_empty());
         assert!(cache.lookup(&sig).is_none());
@@ -506,7 +482,7 @@ mod tests {
     #[test]
     fn consecutive_divergent_warm_runs_evict_the_template() {
         let t = table();
-        let sig = signature(&t, &plan(10));
+        let sig = signature(&t, plan(10));
         let mut cache = OrderCache::with_stale_after(3);
         cache.record(sig.clone(), vec![0, 1], None);
         // Two flip-flopping warm completions (each diverging from the
@@ -530,7 +506,7 @@ mod tests {
     #[test]
     fn converging_warm_run_clears_the_divergence_streak() {
         let t = table();
-        let sig = signature(&t, &plan(10));
+        let sig = signature(&t, plan(10));
         let mut cache = OrderCache::with_stale_after(2);
         cache.record(sig.clone(), vec![0, 1], None);
         assert!(cache.record_warm(sig.clone(), vec![1, 0], None).diverged);
@@ -564,7 +540,7 @@ mod tests {
         // current belief, not each instance's outdated seed), so the
         // stabilized template survives any number of such completions.
         let t = table();
-        let sig = signature(&t, &plan(10));
+        let sig = signature(&t, plan(10));
         let mut cache = OrderCache::with_stale_after(3);
         cache.record(sig.clone(), vec![0, 1], None);
         for _ in 0..5 {
@@ -578,7 +554,7 @@ mod tests {
     #[test]
     fn stats_track_lookups_and_render_into_the_registry() {
         let t = table();
-        let sig = signature(&t, &plan(10));
+        let sig = signature(&t, plan(10));
         let mut cache = OrderCache::new();
         assert!(cache.lookup(&sig).is_none());
         cache.record(sig.clone(), vec![1, 0], None);
@@ -597,7 +573,7 @@ mod tests {
     #[test]
     fn malformed_cached_order_degrades_to_cold() {
         let t = table();
-        let sig = signature(&t, &plan(10));
+        let sig = signature(&t, plan(10));
         let mut cache = OrderCache::new();
         cache.record(sig.clone(), vec![0, 0], None); // not a permutation
         assert!(

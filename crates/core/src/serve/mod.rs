@@ -7,10 +7,8 @@
 //! optimization machinery — the non-invasive theme, one level up:
 //!
 //! * [`server::QueryServer`] admits [`server::QuerySpec`]s (a compiled
-//!   frontend program — see [`server::QuerySpec::from_plan`] — or a
-//!   selection plan lowered to one, each with a [`server::Priority`] and
-//!   an arrival time) and
-//!   executes them as interleaved morsel streams over one pool. Each
+//!   frontend program — see [`server::QuerySpec::from_plan`] — with a
+//!   [`server::Priority`] and an arrival time) and executes them as interleaved morsel streams over one pool. Each
 //!   query keeps its own progressive coordination state — epoch-published
 //!   orders, trial leasing, rejection memory — exactly as if it ran
 //!   alone; the epoch mechanism already isolates per-query orders, so
@@ -31,8 +29,7 @@
 //! pattern: see `tests/proptest_serve.rs`.
 //!
 //! ```
-//! use popt_core::plan::SelectionPlan;
-//! use popt_core::predicate::{CompareOp, Predicate};
+//! use popt_core::plan::{Expr, PlanBuilder};
 //! use popt_core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
 //! use popt_cpu::{CpuConfig, CpuPool};
 //! use popt_storage::{AddressSpace, ColumnData, Table};
@@ -44,12 +41,15 @@
 //!     ColumnData::I32((0..8192).map(|i| (i % 128) as i32).collect()),
 //!     &mut space,
 //! );
-//! let plan =
-//!     SelectionPlan::new(vec![Predicate::new("a", CompareOp::Lt, 50)], vec![]).unwrap();
+//! let program = PlanBuilder::scan(&table)
+//!     .filter(Expr::col("a").less_than(50))
+//!     .build()
+//!     .compile()
+//!     .unwrap();
 //!
 //! let mut server = QueryServer::new(ServeConfig::default());
-//! server.admit(QuerySpec::scan("q0", &table, plan.clone(), vec![0], Priority::High, 0));
-//! server.admit(QuerySpec::scan("q1", &table, plan, vec![0], Priority::Low, 10_000));
+//! server.admit(QuerySpec::compiled("q0", program.clone(), Priority::High, 0));
+//! server.admit(QuerySpec::compiled("q1", program, Priority::Low, 10_000));
 //!
 //! let mut pool = CpuPool::new(CpuConfig::tiny_test(), 2);
 //! let report = server.run(&mut pool).unwrap();
@@ -67,6 +67,4 @@ pub use cache::{
     CacheEntry, CacheStats, OrderCache, StageSignature, WarmRecordOutcome, WorkloadSignature,
 };
 pub use scheduler::StrideScheduler;
-pub use server::{
-    Priority, QueryKind, QueryOutcome, QueryServer, QuerySpec, ServeConfig, ServeReport,
-};
+pub use server::{Priority, QueryOutcome, QueryServer, QuerySpec, ServeConfig, ServeReport};

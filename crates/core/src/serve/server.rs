@@ -13,7 +13,7 @@
 //!   [`StrideScheduler`] which active query to serve next; shares
 //!   converge to the priority weights, and no query starves.
 //! * **Per-query coordination** — each admitted query owns a full
-//!   [`CoordState`]: its own epoch-published order, sample windows,
+//!   `CoordState`: its own epoch-published order, sample windows,
 //!   trial leasing and rejection memory, exactly as if it ran alone on
 //!   the pool. Estimator fits run outside the scheduler lock and their
 //!   cycles are charged to the core that ran them.
@@ -39,7 +39,6 @@ use std::sync::{Arc, Mutex};
 use popt_cost::cycles::{fleet_occupancy, fleet_wall_cycles_interleaved};
 use popt_cpu::{CpuConfig, CpuPool, SimCpu};
 use popt_obs::{DriftObservatory, MetricsRegistry, TraceEvent, Tracer};
-use popt_storage::Table;
 
 use crate::error::EngineError;
 use crate::exec::program::{CompiledProgram, VectorStats};
@@ -47,7 +46,7 @@ use crate::parallel::coordinator::{
     normal_round, trial_round, BoundaryAction, CoordState, WithCoord,
 };
 use crate::parallel::{MorselConfig, MorselDispatcher};
-use crate::plan::{Peo, SelectionPlan};
+use crate::plan::Peo;
 use crate::progressive::{CompiledTarget, ProgressiveConfig, SwitchEvent};
 
 use super::cache::{OrderCache, WorkloadSignature};
@@ -87,36 +86,17 @@ impl Priority {
     }
 }
 
-/// What a served query executes. Either way it runs as one
-/// [`CompiledProgram`]: a scan's selection plan is lowered
-/// ([`SelectionPlan::compile`]) when the batch starts.
-pub enum QueryKind<'t> {
-    /// A multi-selection scan.
-    Scan {
-        /// The scanned table.
-        table: &'t Table,
-        /// The selection plan.
-        plan: SelectionPlan,
-        /// Evaluation order to start from on a cache miss.
-        initial_peo: Peo,
-    },
-    /// A compiled frontend program ([`crate::plan::LogicalPlan`] →
-    /// [`CompiledProgram`]). Signatures are literal-free, so sliding a
-    /// plan's literals keeps the template warm across arrivals.
-    Compiled {
-        /// The compiled program (stages borrow immutable column data).
-        program: CompiledProgram<'t>,
-        /// Evaluation order to start from on a cache miss.
-        initial_order: Peo,
-    },
-}
-
-/// One query submitted to the server.
+/// One query submitted to the server: a compiled frontend program
+/// ([`crate::plan::LogicalPlan`] → [`CompiledProgram`]). Signatures are
+/// literal-free, so sliding a plan's literals keeps the template warm
+/// across arrivals.
 pub struct QuerySpec<'t> {
     /// Human-readable identity carried into the report.
     pub label: String,
-    /// What to execute.
-    pub kind: QueryKind<'t>,
+    /// The compiled program (stages borrow immutable column data).
+    pub program: CompiledProgram<'t>,
+    /// Evaluation order to start from on a cache miss.
+    pub initial_order: Peo,
     /// Scheduling priority.
     pub priority: Priority,
     /// Arrival time in simulated cycles since server start (0 = already
@@ -125,27 +105,6 @@ pub struct QuerySpec<'t> {
 }
 
 impl<'t> QuerySpec<'t> {
-    /// A scan query.
-    pub fn scan(
-        label: impl Into<String>,
-        table: &'t Table,
-        plan: SelectionPlan,
-        initial_peo: Peo,
-        priority: Priority,
-        arrival_cycles: u64,
-    ) -> Self {
-        Self {
-            label: label.into(),
-            kind: QueryKind::Scan {
-                table,
-                plan,
-                initial_peo,
-            },
-            priority,
-            arrival_cycles,
-        }
-    }
-
     /// A compiled-program query, starting from the program's lowering
     /// (plan) order on a cache miss.
     pub fn compiled(
@@ -157,10 +116,8 @@ impl<'t> QuerySpec<'t> {
         let initial_order = program.order().to_vec();
         Self {
             label: label.into(),
-            kind: QueryKind::Compiled {
-                program,
-                initial_order,
-            },
+            program,
+            initial_order,
             priority,
             arrival_cycles,
         }
@@ -476,7 +433,7 @@ impl<'t> QueryServer<'t> {
         let mut warms = Vec::with_capacity(metas.len());
         for spec in &self.specs {
             let (target, signature, warm_seed) =
-                build_target(&spec.kind, cache_on.then_some(&mut self.cache))?;
+                build_target(spec, cache_on.then_some(&mut self.cache))?;
             targets.push(target);
             signatures.push(signature);
             warms.push(warm_seed);
@@ -762,25 +719,15 @@ impl<'t> QueryServer<'t> {
 /// its workload signature, and the cached order the target was seeded
 /// with (`None` = cold start).
 fn build_target<'t>(
-    kind: &QueryKind<'t>,
+    spec: &QuerySpec<'t>,
     cache: Option<&mut OrderCache>,
 ) -> Result<(CompiledTarget<'t>, WorkloadSignature, Option<Peo>), EngineError> {
-    let (mut program, initial_order) = match kind {
-        QueryKind::Scan {
-            table,
-            plan,
-            initial_peo,
-        } => (plan.compile(table, initial_peo)?, initial_peo),
-        QueryKind::Compiled {
-            program,
-            initial_order,
-        } => (program.clone(), initial_order),
-    };
+    let mut program = spec.program.clone();
     let signature = WorkloadSignature::of_compiled(&program);
     let cached = cache.and_then(|c| c.lookup(&signature));
     match cached.as_ref() {
         Some(entry) => program.reorder(&entry.order)?,
-        None => program.reorder(initial_order)?,
+        None => program.reorder(&spec.initial_order)?,
     }
     let mut target = CompiledTarget::new(program);
     if let Some(calibration) = cached.as_ref().and_then(|e| e.calibration.as_ref()) {

@@ -41,9 +41,9 @@ fn allocations() -> u64 {
 /// allocation in one test's setup must never land in another's window.
 static EXCLUSIVE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-use popt_core::parallel::{run_parallel_scan, MorselConfig};
-use popt_core::plan::SelectionPlan;
-use popt_core::predicate::{CompareOp, Predicate};
+use popt_core::exec::CompiledProgram;
+use popt_core::parallel::{run_parallel_program, MorselConfig};
+use popt_core::plan::{Expr, PlanBuilder};
 use popt_cpu::{CpuConfig, CpuPool, SimCpu};
 use popt_storage::{AddressSpace, ColumnData, Table};
 
@@ -70,15 +70,15 @@ fn expected_qualified(rows: usize) -> usize {
         .count()
 }
 
-fn plan() -> SelectionPlan {
-    SelectionPlan::new(
-        vec![
-            Predicate::new("a", CompareOp::Lt, 50),
-            Predicate::new("b", CompareOp::Lt, 5),
-        ],
-        vec!["agg".into()],
-    )
-    .unwrap()
+/// `a < 50 AND b < 5` summing `agg`.
+fn program(t: &Table) -> CompiledProgram<'_> {
+    PlanBuilder::scan(t)
+        .filter(Expr::col("a").less_than(50))
+        .filter(Expr::col("b").less_than(5))
+        .aggregate("agg")
+        .build()
+        .compile()
+        .unwrap()
 }
 
 /// Serial morsel loop: after one warmup vector (stream-state slots may
@@ -90,12 +90,15 @@ fn serial_vector_loop_is_allocation_free() {
     let _turn = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
     let rows = 64 * 1024;
     let t = table(rows);
-    let bulk = SelectionPlan::new(vec![Predicate::new("a", CompareOp::Lt, 50)], vec![]).unwrap();
-    for (plan, peo, expected) in [
-        (plan(), vec![0, 1], expected_qualified(rows)),
-        (bulk, vec![0], (0..rows).filter(|i| i % 100 < 50).count()),
+    let bulk = PlanBuilder::scan(&t)
+        .filter(Expr::col("a").less_than(50))
+        .build()
+        .compile()
+        .unwrap();
+    for (program, expected) in [
+        (program(&t), expected_qualified(rows)),
+        (bulk, (0..rows).filter(|i| i % 100 < 50).count()),
     ] {
-        let program = plan.compile(&t, &peo).unwrap();
         let mut cpu = SimCpu::new(CpuConfig::tiny_test());
         let mut total = program.run_range(&mut cpu, 0, 1024);
         let before = allocations();
@@ -119,11 +122,11 @@ fn parallel_morsel_loop_is_allocation_free() {
     let _turn = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
     let run = |rows: usize| {
         let t = table(rows);
-        let p = plan();
+        let mut p = program(&t);
         let mut pool = CpuPool::new(CpuConfig::tiny_test(), 4);
         let before = allocations();
         let report =
-            run_parallel_scan(&t, &p, &[0, 1], MorselConfig::new(512), &mut pool, None).unwrap();
+            run_parallel_program(&mut p, &[0, 1], MorselConfig::new(512), &mut pool, None).unwrap();
         let delta = allocations() - before;
         assert_eq!(report.qualified as usize, expected_qualified(rows));
         delta

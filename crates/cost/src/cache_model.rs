@@ -1,6 +1,6 @@
 //! The cache access cost model of Section 3.1.
 //!
-//! Extends the generic model of Pirk et al. [17]: the first predicate of a
+//! Extends the generic model of Pirk et al. \[17\]: the first predicate of a
 //! PEO induces a *single sequential* access pattern over its column; every
 //! later predicate induces a *sequential scan with conditional read* whose
 //! line-access count depends on the fraction of tuples surviving the

@@ -13,7 +13,7 @@
 //!   one batched LRU rebuild per set, prefetcher advanced arithmetically)
 //!   instead of N hierarchy walks;
 //! * **segment-granular NUMA pricing**: remote surcharges are resolved
-//!   per contiguous home-range segment ([`NumaPlacement::segment_of`])
+//!   per contiguous home-range segment ([`crate::numa::NumaPlacement::segment_of`])
 //!   through a two-entry segment cache, not by scanning the region list
 //!   per missing line.
 //!
@@ -131,7 +131,7 @@ impl<'a> BatchCpu<'a> {
     }
 
     /// [`BatchCpu::branch_quiet`] against a caller-held gshare history
-    /// register (see [`BranchPredictor::execute_hist`]): the serial
+    /// register (see [`crate::branch::BranchPredictor::execute_hist`]): the serial
     /// history dependence between consecutive branches stays in a host
     /// register. Obtain the register with [`BatchCpu::history`], write it
     /// back with [`BatchCpu::set_history`].
@@ -391,7 +391,7 @@ impl<'a> BatchCpu<'a> {
     /// the line size, no element straddles a line, so the per-element
     /// walk reduces to "one touch at each new line, element hits for the
     /// rest" — `n − touches` hits plus the same ordered sequence of
-    /// sequential line touches, which [`BatchCpu::walk_dense_lines`]
+    /// sequential line touches, which `BatchCpu::walk_dense_lines`
     /// applies (in closed form when the span is clean). Misaligned
     /// shapes fall back to the per-element loop.
     pub fn load_elements_seq(&mut self, llpo: &mut u64, addr: u64, elem: u64, n: u64) -> u64 {

@@ -9,28 +9,31 @@
 //! inverts the cost models to recover each predicate's selectivity —
 //! then compares against the exact ground truth the optimizer never saw.
 
-use popt::core::plan::SelectionPlan;
-use popt::core::predicate::{CompareOp, Predicate};
+use popt::core::plan::{Expr, PlanBuilder};
+use popt::core::predicate::CompareOp;
 use popt::cpu::{CpuConfig, SimCpu};
 use popt::solver::{estimate_selectivities, EstimatorConfig};
 use popt::storage::tpch::{generate_lineitem, TpchConfig};
 
 fn main() {
     let table = generate_lineitem(&TpchConfig::with_rows(1 << 18));
-    let plan = SelectionPlan::new(
-        vec![
-            Predicate::new("l_quantity", CompareOp::Lt, 24),
-            Predicate::new("l_discount", CompareOp::Le, 3),
-            Predicate::new("l_shipdate", CompareOp::Ge, 1800),
-        ],
-        vec!["l_extendedprice".into()],
-    )
-    .expect("plan");
+    let predicates = [
+        ("l_quantity", CompareOp::Lt, 24),
+        ("l_discount", CompareOp::Le, 3),
+        ("l_shipdate", CompareOp::Ge, 1800),
+    ];
+    let compiled = predicates
+        .iter()
+        .fold(PlanBuilder::scan(&table), |b, &(column, op, literal)| {
+            b.filter(Expr::col(column).compare(op, literal))
+        })
+        .aggregate("l_extendedprice")
+        .build()
+        .compile()
+        .expect("compiles");
 
     // Execute one vector from the middle of the table and sample the
     // counters, non-invasively.
-    let peo = plan.identity_peo();
-    let compiled = plan.compile(&table, &peo).expect("compiles");
     let cpu_cfg = CpuConfig::xeon_e5_2630_v2();
     let mut cpu = SimCpu::new(cpu_cfg.clone());
     let vector = 65_536.min(table.rows());
@@ -40,13 +43,12 @@ fn main() {
     // selectivities (not the global statistics an optimizer keeps) are
     // what determine the right order for the data at hand. The optimizer
     // never sees these numbers.
-    let truth: Vec<f64> = plan
-        .predicates
+    let truth: Vec<f64> = predicates
         .iter()
-        .map(|p| {
-            let col = table.column(&p.column).expect("column exists");
+        .map(|&(column, op, literal)| {
+            let col = table.column(column).expect("column exists");
             let hits = (start..start + vector)
-                .filter(|&i| p.eval(col.get(i)))
+                .filter(|&i| op.eval(col.get(i), literal))
                 .count();
             hits as f64 / vector as f64
         })
@@ -74,13 +76,11 @@ fn main() {
     let estimate = estimate_selectivities(&geom, &sampled, &EstimatorConfig::default());
 
     println!("\npredicate                      estimated   true");
-    for ((pred, est), truth) in plan
-        .predicates
-        .iter()
-        .zip(&estimate.selectivities)
-        .zip(&truth)
+    for ((&(column, op, literal), est), truth) in
+        predicates.iter().zip(&estimate.selectivities).zip(&truth)
     {
-        println!("{:28} {:9.3}   {:.3}", pred.display(), est, truth);
+        let pred = format!("{column} {} {literal}", op.symbol());
+        println!("{pred:28} {est:9.3}   {truth:.3}");
     }
     println!(
         "\nestimator: {} starts, {} objective evaluations, residual {:.4}",

@@ -8,7 +8,11 @@
 //! predicate order (least selective predicate first) and shows how the
 //! counter-driven optimizer converges to the good order mid-query.
 
-use popt::core::query::{QueryBuilder, RunMode};
+use popt::core::progressive::{
+    run_baseline, run_progressive_program, ProgressiveConfig, VectorConfig,
+};
+use popt::core::query;
+use popt::cpu::{CpuConfig, SimCpu};
 use popt::storage::tpch::{generate_lineitem, TpchConfig};
 
 fn main() {
@@ -23,28 +27,36 @@ fn main() {
     // Plan order [4,3,2,1,0] evaluates quantity (46% selective) first and
     // the shipdate window (the sharp filter) last — a classic bad plan
     // born from a wrong cardinality estimate.
-    let bad_order = vec![4, 3, 2, 1, 0];
+    let bad_order = [4, 3, 2, 1, 0];
+    let mut program = query::q6(&table).compile().expect("Q6 lowers");
+    program.reorder(&bad_order).expect("valid order");
+    let vectors = VectorConfig {
+        vector_tuples: 8192,
+        max_vectors: None,
+    };
 
-    let baseline = QueryBuilder::q6(&table)
-        .initial_peo(bad_order.clone())
-        .run(RunMode::Baseline)
-        .expect("baseline run");
+    let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
+    let baseline = run_baseline(&program, vectors, &mut cpu).expect("baseline run");
     println!(
         "\nbaseline  (fixed bad PEO): {:8.2} ms  -> {} rows, sum {}",
-        baseline.millis, baseline.result.rows_qualified, baseline.result.sum
+        baseline.millis, baseline.qualified, baseline.sum
     );
 
-    let progressive = QueryBuilder::q6(&table)
-        .initial_peo(bad_order)
-        .run(RunMode::Progressive { reop_interval: 5 })
+    let config = ProgressiveConfig {
+        reop_interval: 5,
+        ..Default::default()
+    };
+    let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
+    let progressive = run_progressive_program(&mut program, &bad_order, vectors, &mut cpu, &config)
         .expect("progressive run");
     println!(
         "progressive (same start) : {:8.2} ms  -> {} rows, sum {}",
-        progressive.millis, progressive.result.rows_qualified, progressive.result.sum
+        progressive.millis, progressive.qualified, progressive.sum
     );
 
     assert_eq!(
-        baseline.result, progressive.result,
+        (baseline.qualified, baseline.sum),
+        (progressive.qualified, progressive.sum),
         "same answer either way"
     );
     println!(

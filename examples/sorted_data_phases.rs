@@ -11,7 +11,11 @@
 //! the progressive optimizer switches orders as the scan crosses the
 //! phase boundaries.
 
-use popt::core::query::{QueryBuilder, RunMode};
+use popt::core::progressive::{
+    run_baseline, run_progressive_program, ProgressiveConfig, VectorConfig,
+};
+use popt::core::query;
+use popt::cpu::{CpuConfig, SimCpu};
 use popt::storage::distribution::Layout;
 use popt::storage::tpch::{generate_lineitem, TpchConfig};
 
@@ -19,16 +23,21 @@ fn main() {
     let table = generate_lineitem(&TpchConfig::with_rows(1 << 19).shipdate_layout(Layout::Sorted));
 
     // Start from a bad static order: date bounds last.
-    let bad = vec![4, 3, 2, 0, 1];
-    let baseline = QueryBuilder::q6(&table)
-        .initial_peo(bad.clone())
-        .vector_tuples(4096)
-        .run(RunMode::Baseline)
-        .expect("baseline");
-    let progressive = QueryBuilder::q6(&table)
-        .initial_peo(bad)
-        .vector_tuples(4096)
-        .run(RunMode::Progressive { reop_interval: 5 })
+    let bad = [4, 3, 2, 0, 1];
+    let mut program = query::q6(&table).compile().expect("Q6 lowers");
+    program.reorder(&bad).expect("valid order");
+    let vectors = VectorConfig {
+        vector_tuples: 4096,
+        max_vectors: None,
+    };
+    let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
+    let baseline = run_baseline(&program, vectors, &mut cpu).expect("baseline");
+    let config = ProgressiveConfig {
+        reop_interval: 5,
+        ..Default::default()
+    };
+    let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
+    let progressive = run_progressive_program(&mut program, &bad, vectors, &mut cpu, &config)
         .expect("progressive");
 
     println!(
@@ -38,7 +47,10 @@ fn main() {
         progressive.millis,
         baseline.millis / progressive.millis
     );
-    assert_eq!(baseline.result, progressive.result);
+    assert_eq!(
+        (baseline.qualified, baseline.sum),
+        (progressive.qualified, progressive.sum)
+    );
 
     println!("\nplan switches while scanning (predicates 0/1 are the shipdate bounds):");
     for s in &progressive.switches {

@@ -18,26 +18,33 @@
 //!   Chrome-trace / decision-log exporters (tracing on or off is
 //!   bit-identical — see the README's "Observability" section);
 //! * [`core`] — the vectorized execution engine and the progressive
-//!   optimizer itself, unified across executors: the multi-selection
-//!   scan and mixed selection/join-filter pipelines share one §4.4 loop
-//!   (`core::progressive::ProgressiveTarget`), with pipeline stages
+//!   optimizer itself: every query is built with one
+//!   [`core::plan::PlanBuilder`], lowered to one
+//!   [`core::exec::CompiledProgram`] (selections and foreign-key join
+//!   filters alike), and driven by one §4.4 loop
+//!   ([`core::progressive::run_progressive_program`]), with stages
 //!   ranked by estimated cost per input tuple (Sections 5.5–5.6).
 //!
-//! See `README.md` for a quickstart, `DESIGN.md` for the system inventory
-//! and `EXPERIMENTS.md` for the paper-vs-measured record of every figure.
+//! See `README.md` for a quickstart, the system inventory and the
+//! figure-by-figure record.
 //!
 //! ```
-//! // The five-minute tour: run TPC-H Q6 with and without progressive
-//! // optimization on a deliberately bad initial predicate order.
-//! use popt::core::query::{QueryBuilder, RunMode};
+//! // The five-minute tour: run TPC-H Q6 with progressive optimization
+//! // from a deliberately bad initial predicate order.
+//! use popt::core::progressive::{run_progressive_program, ProgressiveConfig, VectorConfig};
+//! use popt::core::query;
+//! use popt::cpu::{CpuConfig, SimCpu};
 //! use popt::storage::tpch::{TpchConfig, generate_lineitem};
 //!
 //! let table = generate_lineitem(&TpchConfig::small());
-//! let report = QueryBuilder::q6(&table)
-//!     .vectors(32)
-//!     .run(RunMode::Progressive { reop_interval: 4 })
-//!     .unwrap();
-//! assert!(report.result.rows_qualified > 0);
+//! let mut program = query::q6(&table).compile().unwrap();
+//! let vectors = VectorConfig { vector_tuples: 8192, max_vectors: Some(32) };
+//! let config = ProgressiveConfig { reop_interval: 4, ..Default::default() };
+//! let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
+//! let report =
+//!     run_progressive_program(&mut program, &[4, 3, 2, 1, 0], vectors, &mut cpu, &config)
+//!         .unwrap();
+//! assert!(report.qualified > 0);
 //! ```
 
 pub use popt_core as core;

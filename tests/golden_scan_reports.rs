@@ -1,26 +1,26 @@
 //! Frozen progressive reports for join-free selection plans.
 //!
-//! Selection plans run on the one compiled executor
-//! ([`SelectionPlan::compile`] lowers them; [`run_progressive`] drives
-//! the lowered program through the shared progressive loop). The values
-//! below were recorded from the dedicated multi-selection scan executor
-//! and its scan target before both were folded into the compiled
-//! program, so they pin that the lowered path reproduces the scan
-//! path's every decision and every simulated cycle: TPC-H Q6 and the
-//! Figure 1 plan, three start orders each, at reoptimization intervals
-//! 1, 2 and 5.
+//! TPC-H Q6 and the Figure 1 plan are built with their `PlanBuilder`
+//! presets ([`query::q6`], [`query::q6_figure1`]), lowered to one
+//! compiled program and driven through [`run_progressive_program`]. The
+//! values below were recorded from the dedicated multi-selection scan
+//! executor and its scan target before both were folded into the
+//! compiled program, so they pin that the preset path reproduces the
+//! scan path's every decision and every simulated cycle: three start
+//! orders each, at reoptimization intervals 1, 2 and 5.
 //!
 //! A join-free program has no probe locality to calibrate, so it must
-//! not pay estimator fits on its trial vectors: a Q6 program built
-//! directly through the frontend reproduces the same reports.
+//! not pay estimator fits on its trial vectors — any such fit would move
+//! the estimate and optimizer-cycle columns: a Q6 program built filter
+//! by filter through the frontend reproduces the same reports.
 
 use popt::core::exec::CompiledProgram;
-use popt::core::plan::{Expr, PlanBuilder, SelectionPlan};
+use popt::core::plan::{Expr, LogicalPlan, PlanBuilder};
 use popt::core::progressive::{
-    run_progressive, run_progressive_program, ProgressiveConfig, ProgressiveReport, VectorConfig,
+    run_progressive_program, ProgressiveConfig, ProgressiveReport, VectorConfig,
 };
 use popt::core::query::{
-    QueryBuilder, Q6_DISCOUNT_HI, Q6_DISCOUNT_LO, Q6_QUANTITY, Q6_SHIPDATE_HI, Q6_SHIPDATE_LO,
+    self, Q6_DISCOUNT_HI, Q6_DISCOUNT_LO, Q6_QUANTITY, Q6_SHIPDATE_HI, Q6_SHIPDATE_LO,
 };
 use popt::cpu::{CpuConfig, SimCpu};
 use popt::storage::tpch::{generate_lineitem, TpchConfig};
@@ -69,12 +69,12 @@ fn table() -> Table {
 }
 
 /// Q6, or the Figure 1 plan at the table's median shipdate.
-fn plan(name: &str, t: &Table) -> SelectionPlan {
+fn plan<'t>(name: &str, t: &'t Table) -> LogicalPlan<'t> {
     match name {
-        "q6" => QueryBuilder::q6_plan(),
+        "q6" => query::q6(t),
         _ => {
             let ship = t.column("l_shipdate").expect("shipdate column");
-            QueryBuilder::q6_figure1_plan(popt::storage::stats::quantile(ship.data(), 0.5))
+            query::q6_figure1(t, popt::storage::stats::quantile(ship.data(), 0.5))
         }
     }
 }
@@ -125,8 +125,9 @@ fn lowered_selection_plans_reproduce_the_frozen_scan_reports() {
     for golden in GOLDEN {
         let (name, peo, reop, ..) = *golden;
         let (vectors, cfg) = config(reop);
+        let mut program = plan(name, &t).compile().expect("preset lowers");
         let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
-        let report = run_progressive(&t, &plan(name, &t), peo, vectors, &mut cpu, &cfg)
+        let report = run_progressive_program(&mut program, peo, vectors, &mut cpu, &cfg)
             .expect("progressive run");
         assert_golden(&report, golden);
     }

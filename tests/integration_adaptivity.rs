@@ -1,9 +1,11 @@
 //! Cross-crate integration: the Section 4.5 hazards — skewed value drift
 //! and correlated attributes — against the progressive optimizer.
 
-use popt::core::plan::SelectionPlan;
-use popt::core::predicate::{CompareOp, Predicate};
-use popt::core::progressive::{run_baseline, run_progressive, ProgressiveConfig, VectorConfig};
+use popt::core::exec::CompiledProgram;
+use popt::core::plan::{Expr, PlanBuilder};
+use popt::core::progressive::{
+    run_baseline, run_progressive_program, ProgressiveConfig, VectorConfig,
+};
 use popt::cpu::{CpuConfig, SimCpu};
 use popt::storage::distribution::correlated_pair;
 use popt::storage::{AddressSpace, ColumnData, Table};
@@ -46,6 +48,18 @@ fn drift_table(rows: usize) -> Table {
     t
 }
 
+/// `a < a_lit AND b < b_lit` over `t`, in evaluation order `order`.
+fn program<'t>(t: &'t Table, (a_lit, b_lit): (i64, i64), order: &[usize]) -> CompiledProgram<'t> {
+    let mut program = PlanBuilder::scan(t)
+        .filter(Expr::col("a").less_than(a_lit))
+        .filter(Expr::col("b").less_than(b_lit))
+        .build()
+        .compile()
+        .unwrap();
+    program.reorder(order).unwrap();
+    program
+}
+
 #[test]
 fn selectivity_drift_triggers_mid_query_reordering() {
     // Predicates `a < 50`, `b < 50`: in the first half `a < 50` passes
@@ -53,14 +67,7 @@ fn selectivity_drift_triggers_mid_query_reordering() {
     // swap. The optimal PEO flips at the midpoint.
     let rows = 1 << 18;
     let t = drift_table(rows);
-    let plan = SelectionPlan::new(
-        vec![
-            Predicate::new("a", CompareOp::Lt, 50),
-            Predicate::new("b", CompareOp::Lt, 50),
-        ],
-        vec![],
-    )
-    .unwrap();
+    let lits = (50, 50);
     let vectors = VectorConfig {
         vector_tuples: 8_192,
         max_vectors: None,
@@ -71,7 +78,14 @@ fn selectivity_drift_triggers_mid_query_reordering() {
     };
 
     let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-    let prog = run_progressive(&t, &plan, &[0, 1], vectors, &mut cpu, &config).unwrap();
+    let prog = run_progressive_program(
+        &mut program(&t, lits, &[0, 1]),
+        &[0, 1],
+        vectors,
+        &mut cpu,
+        &config,
+    )
+    .unwrap();
     // First half: `a` is dilute (0..100) so `a<50` passes ~50% while
     // `b<50` passes ~5% — optimal order [1,0]. Second half: roles swap —
     // optimal order [0,1]. The run must switch and end on [0,1].
@@ -85,7 +99,7 @@ fn selectivity_drift_triggers_mid_query_reordering() {
     // And it must beat both static orders.
     for peo in [[0usize, 1], [1, 0]] {
         let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let base = run_baseline(&t, &plan, &peo, vectors, &mut cpu).unwrap();
+        let base = run_baseline(&program(&t, lits, &peo), vectors, &mut cpu).unwrap();
         assert_eq!(base.qualified, prog.qualified);
         assert!(
             prog.cycles < base.cycles,
@@ -109,14 +123,7 @@ fn correlated_predicates_do_not_thrash_the_optimizer() {
     let mut t = Table::new("corr");
     t.add_column("a", ColumnData::I32(a), &mut space);
     t.add_column("b", ColumnData::I32(b), &mut space);
-    let plan = SelectionPlan::new(
-        vec![
-            Predicate::new("a", CompareOp::Lt, 300),
-            Predicate::new("b", CompareOp::Lt, 320),
-        ],
-        vec![],
-    )
-    .unwrap();
+    let lits = (300, 320);
     let vectors = VectorConfig {
         vector_tuples: 8_192,
         max_vectors: None,
@@ -126,7 +133,14 @@ fn correlated_predicates_do_not_thrash_the_optimizer() {
         ..Default::default()
     };
     let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-    let prog = run_progressive(&t, &plan, &[0, 1], vectors, &mut cpu, &config).unwrap();
+    let prog = run_progressive_program(
+        &mut program(&t, lits, &[0, 1]),
+        &[0, 1],
+        vectors,
+        &mut cpu,
+        &config,
+    )
+    .unwrap();
 
     let reverted = prog.switches.iter().filter(|s| s.reverted).count();
     assert!(
@@ -137,7 +151,7 @@ fn correlated_predicates_do_not_thrash_the_optimizer() {
 
     // Cost must stay close to the better static order.
     let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-    let base = run_baseline(&t, &plan, &[0, 1], vectors, &mut cpu).unwrap();
+    let base = run_baseline(&program(&t, lits, &[0, 1]), vectors, &mut cpu).unwrap();
     assert!(
         (prog.cycles as f64) < base.cycles as f64 * 1.25,
         "progressive {} vs static {}",
@@ -166,16 +180,16 @@ fn exploration_is_stall_gated() {
 
     // Converging workload: no exploratory switches at all.
     let t = drift_table(rows);
-    let plan = SelectionPlan::new(
-        vec![
-            Predicate::new("a", CompareOp::Lt, 50),
-            Predicate::new("b", CompareOp::Lt, 50),
-        ],
-        vec![],
+    let lits = (50, 50);
+    let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
+    let converging = run_progressive_program(
+        &mut program(&t, lits, &[0, 1]),
+        &[0, 1],
+        vectors,
+        &mut cpu,
+        &config,
     )
     .unwrap();
-    let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-    let converging = run_progressive(&t, &plan, &[0, 1], vectors, &mut cpu, &config).unwrap();
     assert!(
         converging.switches.iter().all(|s| !s.exploratory),
         "{:?}",
@@ -189,18 +203,18 @@ fn exploration_is_stall_gated() {
     let mut t = Table::new("corr");
     t.add_column("a", ColumnData::I32(a), &mut space);
     t.add_column("b", ColumnData::I32(b), &mut space);
-    let plan = SelectionPlan::new(
-        vec![
-            Predicate::new("a", CompareOp::Lt, 300),
-            Predicate::new("b", CompareOp::Lt, 320),
-        ],
-        vec![],
+    let lits = (300, 320);
+    let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
+    let with = run_progressive_program(
+        &mut program(&t, lits, &[0, 1]),
+        &[0, 1],
+        vectors,
+        &mut cpu,
+        &config,
     )
     .unwrap();
     let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-    let with = run_progressive(&t, &plan, &[0, 1], vectors, &mut cpu, &config).unwrap();
-    let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-    let base = run_baseline(&t, &plan, &[0, 1], vectors, &mut cpu).unwrap();
+    let base = run_baseline(&program(&t, lits, &[0, 1]), vectors, &mut cpu).unwrap();
     assert_eq!(with.qualified, base.qualified);
     assert!((with.cycles as f64) < base.cycles as f64 * 1.3);
 }

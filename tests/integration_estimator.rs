@@ -7,8 +7,7 @@
 //! included.
 
 use popt::core::exec::CompiledProgram;
-use popt::core::plan::SelectionPlan;
-use popt::core::predicate::{CompareOp, Predicate};
+use popt::core::plan::{Expr, PlanBuilder};
 use popt::cost::estimate::PlanGeometry;
 use popt::cpu::{CpuConfig, SimCpu};
 use popt::solver::{estimate_selectivities, EstimatorConfig};
@@ -40,16 +39,17 @@ fn uniform_table(rows: usize, cols: usize) -> Table {
     t
 }
 
-fn plan_for(selectivities: &[f64]) -> SelectionPlan {
-    SelectionPlan::new(
-        selectivities
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| Predicate::new(format!("c{i}"), CompareOp::Lt, (s * 1000.0) as i64))
-            .collect(),
-        vec![],
-    )
-    .expect("plan")
+/// One `c{i} < literal` filter per selectivity, in plan order.
+fn program_for<'t>(table: &'t Table, selectivities: &[f64]) -> CompiledProgram<'t> {
+    selectivities
+        .iter()
+        .enumerate()
+        .fold(PlanBuilder::scan(table), |b, (i, &s)| {
+            b.filter(Expr::col(format!("c{i}")).less_than((s * 1000.0) as i64))
+        })
+        .build()
+        .compile()
+        .expect("compiles")
 }
 
 /// The estimator's view of `program` on the Ivy-Bridge-like core the
@@ -62,9 +62,7 @@ fn plan_geometry(program: &CompiledProgram<'_>, n_input: u64) -> PlanGeometry {
 
 fn recover(selectivities: &[f64], rows: usize) -> Vec<f64> {
     let table = uniform_table(rows, selectivities.len());
-    let plan = plan_for(selectivities);
-    let peo = plan.identity_peo();
-    let compiled = plan.compile(&table, &peo).expect("compiles");
+    let compiled = program_for(&table, selectivities);
     let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
     let stats = compiled.run_range(&mut cpu, 0, rows);
     let sampled = stats.sampled_counters();
@@ -115,9 +113,7 @@ fn five_predicates_rank_usably() {
 #[test]
 fn estimates_stay_within_bounds_on_real_counters() {
     let table = uniform_table(1 << 15, 3);
-    let plan = plan_for(&[0.5, 0.25, 0.8]);
-    let peo = plan.identity_peo();
-    let compiled = plan.compile(&table, &peo).expect("compiles");
+    let compiled = program_for(&table, &[0.5, 0.25, 0.8]);
     let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
     let stats = compiled.run_range(&mut cpu, 0, 1 << 15);
     let sampled = stats.sampled_counters();
@@ -134,10 +130,7 @@ fn estimates_stay_within_bounds_on_real_counters() {
 #[test]
 fn derived_output_identity_holds_on_hardware_counters() {
     let table = uniform_table(1 << 15, 4);
-    let plan = plan_for(&[0.6, 0.5, 0.4, 0.3]);
-    let compiled = plan
-        .compile(&table, &plan.identity_peo())
-        .expect("compiles");
+    let compiled = program_for(&table, &[0.6, 0.5, 0.4, 0.3]);
     let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
     let stats = compiled.run_range(&mut cpu, 0, 1 << 15);
     assert_eq!(stats.derived_output(), stats.qualified);

@@ -8,9 +8,8 @@
 //! ≥ 2.5× wall-clock speedup over one on the Figure-14-style workload.
 
 use popt::core::exec::CompiledProgram;
-use popt::core::parallel::{run_parallel_program, run_parallel_scan, MorselConfig};
-use popt::core::plan::{Expr, PlanBuilder, SelectionPlan};
-use popt::core::predicate::{CompareOp, Predicate};
+use popt::core::parallel::{run_parallel_program, MorselConfig};
+use popt::core::plan::{Expr, PlanBuilder};
 use popt::core::progressive::{
     run_baseline, run_progressive_program, ProgressiveConfig, VectorConfig,
 };
@@ -23,9 +22,9 @@ use common::small_cache_cpu;
 
 const ROWS: usize = 1 << 17;
 
-/// Three-predicate scan table with very different selectivities
-/// (5% / 50% / 95% over the shared workload domain).
-fn scan_table(n: usize) -> (Table, SelectionPlan) {
+/// Three-column scan table over the shared workload domain, plus a
+/// constant aggregate column.
+fn scan_table(n: usize) -> Table {
     let mut space = AddressSpace::new();
     let mut t = Table::new("t");
     let mut state = 0xC0FFEEu64 | 1;
@@ -36,16 +35,22 @@ fn scan_table(n: usize) -> (Table, SelectionPlan) {
         t.add_column(name, ColumnData::I32(data), &mut space);
     }
     t.add_column("agg", ColumnData::I32(vec![3; n]), &mut space);
-    let plan = SelectionPlan::new(
-        vec![
-            Predicate::new("lo", CompareOp::Lt, DOMAIN / 20),
-            Predicate::new("mid", CompareOp::Lt, DOMAIN / 2),
-            Predicate::new("hi", CompareOp::Lt, DOMAIN * 19 / 20),
-        ],
-        vec!["agg".into()],
-    )
-    .unwrap();
-    (t, plan)
+    t
+}
+
+/// Three filters over [`scan_table`] with very different selectivities
+/// (5% / 50% / 95%), summing `agg`, in evaluation order `order`.
+fn scan_program<'t>(t: &'t Table, order: &[usize]) -> CompiledProgram<'t> {
+    let mut program = PlanBuilder::scan(t)
+        .filter(Expr::col("lo").less_than(DOMAIN / 20))
+        .filter(Expr::col("mid").less_than(DOMAIN / 2))
+        .filter(Expr::col("hi").less_than(DOMAIN * 19 / 20))
+        .aggregate("agg")
+        .build()
+        .compile()
+        .unwrap();
+    program.reorder(order).unwrap();
+    program
 }
 
 /// Expensive selection + fully random FK probe into an LLC-thrashing
@@ -63,13 +68,11 @@ fn build_pipeline<'t>(fact: &'t Table, dim: &'t Table) -> CompiledProgram<'t> {
 #[test]
 fn parallel_scan_is_bit_identical_to_serial_for_any_worker_count() {
     let n = 1 << 15;
-    let (t, plan) = scan_table(n);
+    let t = scan_table(n);
     let peo = [2usize, 1, 0];
     let mut serial_cpu = SimCpu::new(CpuConfig::ivy_bridge());
     let serial = run_baseline(
-        &t,
-        &plan,
-        &peo,
+        &scan_program(&t, &peo),
         VectorConfig {
             vector_tuples: 2048,
             max_vectors: None,
@@ -87,9 +90,8 @@ fn parallel_scan_is_bit_identical_to_serial_for_any_worker_count() {
                     reop_interval: 2,
                     ..Default::default()
                 };
-                let report = run_parallel_scan(
-                    &t,
-                    &plan,
+                let report = run_parallel_program(
+                    &mut scan_program(&t, &peo),
                     &peo,
                     MorselConfig::new(morsel_tuples),
                     &mut pool,
@@ -110,11 +112,10 @@ fn parallel_scan_is_bit_identical_to_serial_for_any_worker_count() {
 #[test]
 fn parallel_progressive_scan_converges_like_serial() {
     let n = 1 << 16;
-    let (t, plan) = scan_table(n);
+    let t = scan_table(n);
     let mut pool = CpuPool::new(CpuConfig::ivy_bridge(), 4);
-    let report = run_parallel_scan(
-        &t,
-        &plan,
+    let report = run_parallel_program(
+        &mut scan_program(&t, &[2, 1, 0]),
         &[2, 1, 0], // descending selectivity: worst order
         MorselConfig::new(2_048),
         &mut pool,
@@ -245,17 +246,22 @@ fn rejected_trials_never_spread_and_always_revert() {
 
 #[test]
 fn zero_reop_interval_and_zero_morsel_are_rejected() {
-    let (t, plan) = scan_table(1 << 12);
+    let t = scan_table(1 << 12);
     let mut pool = CpuPool::new(CpuConfig::tiny_test(), 2);
-    let err = run_parallel_scan(&t, &plan, &[0, 1, 2], MorselConfig::new(0), &mut pool, None)
-        .unwrap_err();
+    let err = run_parallel_program(
+        &mut scan_program(&t, &[0, 1, 2]),
+        &[0, 1, 2],
+        MorselConfig::new(0),
+        &mut pool,
+        None,
+    )
+    .unwrap_err();
     assert!(matches!(
         err,
         popt::core::EngineError::InvalidVectorConfig(_)
     ));
-    let err = run_parallel_scan(
-        &t,
-        &plan,
+    let err = run_parallel_program(
+        &mut scan_program(&t, &[0, 1, 2]),
         &[0, 1, 2],
         MorselConfig::new(1_024),
         &mut pool,

@@ -1,31 +1,77 @@
 //! Cross-crate integration: TPC-H Q6 end to end — storage generation,
 //! engine execution on the simulated CPU, progressive optimization.
 
-use popt::core::plan::SelectionPlan;
-use popt::core::query::{QueryBuilder, RunMode};
+use popt::core::plan::{all_orders, Expr, LogicalPlan, PlanBuilder};
+use popt::core::progressive::{
+    run_baseline, run_progressive_program, ProgressiveConfig, ProgressiveReport, VectorConfig,
+};
+use popt::core::query;
+use popt::cpu::{CpuConfig, SimCpu};
 use popt::storage::distribution::Layout;
 use popt::storage::tpch::{generate_lineitem, TpchConfig};
+use popt::storage::Table;
 
-fn table() -> popt::storage::Table {
+fn table() -> Table {
     generate_lineitem(&TpchConfig::with_rows(1 << 16))
 }
+
+fn vectors(vector_tuples: usize) -> VectorConfig {
+    VectorConfig {
+        vector_tuples,
+        max_vectors: None,
+    }
+}
+
+/// `plan` run statically in evaluation order `order` on `cpu`.
+fn baseline(
+    plan: &LogicalPlan<'_>,
+    order: &[usize],
+    vector_tuples: usize,
+    cpu: CpuConfig,
+) -> ProgressiveReport {
+    let mut program = plan.compile().expect("plan lowers");
+    program.reorder(order).expect("valid order");
+    run_baseline(&program, vectors(vector_tuples), &mut SimCpu::new(cpu)).expect("baseline runs")
+}
+
+/// `plan` run progressively from evaluation order `order`.
+fn progressive(
+    plan: &LogicalPlan<'_>,
+    order: &[usize],
+    vector_tuples: usize,
+    reop_interval: usize,
+) -> ProgressiveReport {
+    let mut program = plan.compile().expect("plan lowers");
+    let config = ProgressiveConfig {
+        reop_interval,
+        ..Default::default()
+    };
+    let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
+    run_progressive_program(
+        &mut program,
+        order,
+        vectors(vector_tuples),
+        &mut cpu,
+        &config,
+    )
+    .expect("progressive runs")
+}
+
+fn answer(r: &ProgressiveReport) -> (u64, i64) {
+    (r.qualified, r.sum)
+}
+
+const IDENTITY: [usize; 5] = [0, 1, 2, 3, 4];
 
 #[test]
 fn q6_answer_is_peo_invariant() {
     let t = table();
-    let plan = QueryBuilder::q6_plan();
-    let orders = [
-        plan.identity_peo(),
-        vec![4, 3, 2, 1, 0],
-        vec![2, 0, 4, 1, 3],
-    ];
+    let plan = query::q6(&t);
+    let orders = [IDENTITY, [4, 3, 2, 1, 0], [2, 0, 4, 1, 3]];
     let mut results = Vec::new();
     for peo in orders {
-        let r = QueryBuilder::q6(&t)
-            .initial_peo(peo)
-            .run(RunMode::Baseline)
-            .expect("baseline runs");
-        results.push(r.result);
+        let r = baseline(&plan, &peo, 8192, CpuConfig::xeon_e5_2630_v2());
+        results.push(answer(&r));
     }
     assert_eq!(results[0], results[1]);
     assert_eq!(results[0], results[2]);
@@ -37,18 +83,11 @@ fn progressive_matches_baseline_answer_and_beats_worst_plan() {
     // charged honestly, and they only amortize over realistically sized
     // vectors (the paper uses 1M-tuple vectors).
     let t = generate_lineitem(&TpchConfig::with_rows(1 << 18));
-    let worst = vec![4, 3, 2, 1, 0];
-    let base = QueryBuilder::q6(&t)
-        .initial_peo(worst.clone())
-        .vector_tuples(16_384)
-        .run(RunMode::Baseline)
-        .expect("baseline runs");
-    let prog = QueryBuilder::q6(&t)
-        .initial_peo(worst)
-        .vector_tuples(16_384)
-        .run(RunMode::Progressive { reop_interval: 3 })
-        .expect("progressive runs");
-    assert_eq!(base.result, prog.result);
+    let plan = query::q6(&t);
+    let worst = [4, 3, 2, 1, 0];
+    let base = baseline(&plan, &worst, 16_384, CpuConfig::xeon_e5_2630_v2());
+    let prog = progressive(&plan, &worst, 16_384, 3);
+    assert_eq!(answer(&base), answer(&prog));
     assert!(
         prog.millis < base.millis,
         "progressive {} ms !< worst baseline {} ms",
@@ -64,28 +103,20 @@ fn progressive_is_robust_across_all_5_factorial_starts_sampled() {
     // Enough vectors that convergence cost amortizes (the paper runs 600
     // vectors; a handful of pre-convergence vectors must not dominate).
     let t = generate_lineitem(&TpchConfig::with_rows(1 << 19));
-    let plan = QueryBuilder::q6_plan();
-    let all = plan.all_peos();
+    let plan = query::q6(&t);
+    let all = all_orders(5);
     let sample: Vec<_> = all.iter().step_by(17).cloned().collect(); // 8 orders
 
     let mut best_base = f64::INFINITY;
     let mut baselines = Vec::new();
     for peo in &sample {
-        let r = QueryBuilder::q6(&t)
-            .initial_peo(peo.clone())
-            .vector_tuples(8_192)
-            .run(RunMode::Baseline)
-            .expect("baseline runs");
+        let r = baseline(&plan, peo, 8_192, CpuConfig::xeon_e5_2630_v2());
         best_base = best_base.min(r.millis);
         baselines.push(r.millis);
     }
     let mut prog_sum = 0.0;
     for peo in &sample {
-        let r = QueryBuilder::q6(&t)
-            .initial_peo(peo.clone())
-            .vector_tuples(8_192)
-            .run(RunMode::Progressive { reop_interval: 2 })
-            .expect("progressive runs");
+        let r = progressive(&plan, peo, 8_192, 2);
         prog_sum += r.millis;
         // The robustness claim under test is *worst-case avoidance*
         // (Section 5.3: "we efficiently alleviate bad initial PEOs and
@@ -94,7 +125,7 @@ fn progressive_is_robust_across_all_5_factorial_starts_sampled() {
         // best static plan. Individual starts can end somewhat slower
         // than their own baseline — the paper shows the same for fast
         // starts (Section 5.4) and the 5-predicate inversion is
-        // under-determined (EXPERIMENTS.md).
+        // under-determined.
         assert!(
             r.millis < best_base * 2.5,
             "initial {peo:?}: progressive {} ms vs best baseline {} ms",
@@ -114,13 +145,18 @@ fn progressive_is_robust_across_all_5_factorial_starts_sampled() {
 #[test]
 fn counters_satisfy_paper_identities_end_to_end() {
     let t = table();
-    let r = QueryBuilder::q6(&t).run(RunMode::Baseline).expect("runs");
+    let r = baseline(
+        &query::q6(&t),
+        &IDENTITY,
+        8192,
+        CpuConfig::xeon_e5_2630_v2(),
+    );
     let c = &r.counters;
     // Partition: every conditional branch is taken or not taken.
     assert_eq!(c.branches, c.branches_taken + c.branches_not_taken);
     // Qualifying tuples = 2n - bT (Section 2.2), summed over vectors.
     let n = t.rows() as u64;
-    assert_eq!(r.result.rows_qualified, 2 * n - c.branches_taken);
+    assert_eq!(r.qualified, 2 * n - c.branches_taken);
     // Mispredictions split by direction.
     assert!(c.mp_taken <= c.branches_taken);
     assert!(c.mp_not_taken <= c.branches_not_taken);
@@ -129,10 +165,7 @@ fn counters_satisfy_paper_identities_end_to_end() {
 #[test]
 fn sorted_layout_enables_phase_switches() {
     let t = generate_lineitem(&TpchConfig::with_rows(1 << 16).shipdate_layout(Layout::Sorted));
-    let r = QueryBuilder::q6(&t)
-        .vector_tuples(2048)
-        .run(RunMode::Progressive { reop_interval: 2 })
-        .expect("progressive runs");
+    let r = progressive(&query::q6(&t), &IDENTITY, 2048, 2);
     // On sorted data the optimal order changes between the date-window
     // phases; at least one non-reverted switch must happen.
     assert!(
@@ -145,38 +178,53 @@ fn sorted_layout_enables_phase_switches() {
 #[test]
 fn empty_result_queries_are_handled() {
     let t = table();
-    let plan = SelectionPlan::new(
-        vec![popt::core::predicate::Predicate::new(
-            "l_quantity",
-            popt::core::predicate::CompareOp::Lt,
-            0, // nothing qualifies
-        )],
-        vec!["l_extendedprice".into()],
-    )
-    .expect("plan");
-    let r = QueryBuilder::new(&t, plan)
-        .run(RunMode::Progressive { reop_interval: 2 })
-        .expect("runs");
-    assert_eq!(r.result.rows_qualified, 0);
-    assert_eq!(r.result.sum, 0);
+    let plan = PlanBuilder::scan(&t)
+        .filter(Expr::col("l_quantity").less_than(0)) // nothing qualifies
+        .aggregate("l_extendedprice")
+        .build();
+    let r = progressive(&plan, &[0], 8192, 2);
+    assert_eq!(r.qualified, 0);
+    assert_eq!(r.sum, 0);
 }
 
 #[test]
 fn different_cpu_presets_agree_on_results() {
     let t = table();
+    let plan = query::q6(&t);
+    let reference = baseline(&plan, &IDENTITY, 8192, CpuConfig::xeon_e5_2630_v2());
     for cpu in [
-        popt::cpu::CpuConfig::nehalem(),
-        popt::cpu::CpuConfig::ivy_bridge(),
-        popt::cpu::CpuConfig::amd(),
+        CpuConfig::nehalem(),
+        CpuConfig::ivy_bridge(),
+        CpuConfig::amd(),
     ] {
-        let r = QueryBuilder::q6(&t)
-            .cpu(cpu)
-            .run(RunMode::Baseline)
-            .expect("runs");
-        let reference = QueryBuilder::q6(&t).run(RunMode::Baseline).expect("runs");
+        let r = baseline(&plan, &IDENTITY, 8192, cpu);
         assert_eq!(
-            r.result, reference.result,
+            answer(&r),
+            answer(&reference),
             "results must not depend on the CPU"
         );
     }
+}
+
+#[test]
+fn baseline_runs_the_programs_current_order() {
+    // `run_baseline` executes a compiled program in whatever order it is
+    // in: no estimates, no switches, and the order it ran under reported
+    // back as the final order.
+    let t = table();
+    let worst = [4, 3, 2, 1, 0];
+    let r = baseline(&query::q6(&t), &worst, 8192, CpuConfig::xeon_e5_2630_v2());
+    assert_eq!(r.final_peo, worst);
+    assert!(r.switches.is_empty());
+    assert_eq!((r.estimates, r.optimizer_cycles), (0, 0));
+    assert_eq!(r.vectors, t.rows().div_ceil(8192));
+    // A different order does different work for the same answer.
+    let best = baseline(
+        &query::q6(&t),
+        &IDENTITY,
+        8192,
+        CpuConfig::xeon_e5_2630_v2(),
+    );
+    assert_eq!(answer(&r), answer(&best));
+    assert_ne!(r.cycles, best.cycles);
 }

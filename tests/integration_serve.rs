@@ -3,9 +3,7 @@
 //! order-cache reuse, and admission/idle accounting.
 
 use popt::core::exec::CompiledProgram;
-use popt::core::plan::SelectionPlan;
 use popt::core::plan::{Expr, PlanBuilder};
-use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
 use popt::core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
 use popt::core::MorselConfig;
@@ -51,16 +49,17 @@ fn tables(seed: u64) -> (Table, Table) {
     (fact, dim)
 }
 
-fn scan_plan(lits: [i64; 3]) -> SelectionPlan {
-    SelectionPlan::new(
-        vec![
-            Predicate::new("val0", CompareOp::Lt, lits[0]),
-            Predicate::new("val1", CompareOp::Lt, lits[1]),
-            Predicate::new("val2", CompareOp::Lt, lits[2]),
-        ],
-        vec!["val0".into()],
-    )
-    .unwrap()
+/// The scan template: `val{i} < lits[i]` for each column, summing
+/// `val0`, in plan order.
+fn scan_plan(fact: &Table, lits: [i64; 3]) -> CompiledProgram<'_> {
+    PlanBuilder::scan(fact)
+        .filter(Expr::col("val0").less_than(lits[0]))
+        .filter(Expr::col("val1").less_than(lits[1]))
+        .filter(Expr::col("val2").less_than(lits[2]))
+        .aggregate("val0")
+        .build()
+        .compile()
+        .unwrap()
 }
 
 /// The join template: a costed `val0` selection and a probe testing
@@ -84,16 +83,21 @@ fn join_template<'t>(
         .unwrap()
 }
 
+/// `program` switched to evaluation order `order`.
+fn ordered<'t>(mut program: CompiledProgram<'t>, order: &[usize]) -> CompiledProgram<'t> {
+    program.reorder(order).unwrap();
+    program
+}
+
 /// A served compiled program starting from `order` on a cache miss.
-fn pipeline_spec<'t>(
-    label: &str,
-    mut program: CompiledProgram<'t>,
+fn spec<'t>(
+    label: impl Into<String>,
+    program: CompiledProgram<'t>,
     order: Vec<usize>,
     priority: Priority,
     arrival_cycles: u64,
 ) -> QuerySpec<'t> {
-    program.reorder(&order).unwrap();
-    QuerySpec::compiled(label, program, priority, arrival_cycles)
+    QuerySpec::compiled(label, ordered(program, &order), priority, arrival_cycles)
 }
 
 fn config(reopt: bool) -> ServeConfig {
@@ -114,37 +118,32 @@ fn config(reopt: bool) -> ServeConfig {
 #[test]
 fn mixed_batch_matches_solo_execution() {
     let (fact, dim) = tables(0xA11CE);
-    let plan = scan_plan([200, 500, 800]);
+    let plan = scan_plan(&fact, [200, 500, 800]);
 
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-    let scan_ref = plan
-        .compile(&fact, &[2, 1, 0])
-        .unwrap()
-        .run_range(&mut cpu, 0, ROWS);
+    let scan_ref = ordered(plan.clone(), &[2, 1, 0]).run_range(&mut cpu, 0, ROWS);
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
     let pipe_ref = pipeline(&fact, &dim, 500).run_range(&mut cpu, 0, ROWS);
 
     for reopt in [false, true] {
         for workers in [1usize, 2, 4] {
             let mut server = QueryServer::new(config(reopt));
-            server.admit(QuerySpec::scan(
+            server.admit(spec(
                 "scan-hi",
-                &fact,
                 plan.clone(),
                 vec![2, 1, 0],
                 Priority::High,
                 0,
             ));
-            server.admit(pipeline_spec(
+            server.admit(spec(
                 "pipe-norm",
                 pipeline(&fact, &dim, 500),
                 vec![1, 0],
                 Priority::Normal,
                 5_000,
             ));
-            server.admit(QuerySpec::scan(
+            server.admit(spec(
                 "scan-low",
-                &fact,
                 plan.clone(),
                 vec![0, 1, 2],
                 Priority::Low,
@@ -194,7 +193,7 @@ fn mixed_batch_matches_solo_execution() {
 fn high_priority_latency_isolated_from_background_scan() {
     let (fact, dim) = tables(0xB0B);
     let _ = &dim;
-    let plan = scan_plan([300, 500, 700]);
+    let plan = scan_plan(&fact, [300, 500, 700]);
     let workers = 4;
 
     let latency_of = |with_background: bool| -> u64 {
@@ -205,27 +204,13 @@ fn high_priority_latency_isolated_from_background_scan() {
             use_order_cache: false,
             dynamic_repartition: false,
         });
-        server.admit(QuerySpec::scan(
-            "fg",
-            &fact,
-            plan.clone(),
-            vec![0, 1, 2],
-            Priority::High,
-            0,
-        ));
+        server.admit(spec("fg", plan.clone(), vec![0, 1, 2], Priority::High, 0));
         if with_background {
             // One weight-1 background scan against the weight-16
             // foreground: the stride scheduler caps its slot share at
             // 1/17 while the foreground is active, so the foreground
             // loses at most ~6% of the pool.
-            server.admit(QuerySpec::scan(
-                "bg",
-                &fact,
-                plan.clone(),
-                vec![0, 1, 2],
-                Priority::Low,
-                0,
-            ));
+            server.admit(spec("bg", plan.clone(), vec![0, 1, 2], Priority::Low, 0));
         }
         let mut pool = CpuPool::new(CpuConfig::tiny_test(), workers);
         let report = server.run(&mut pool).unwrap();
@@ -254,7 +239,7 @@ fn warm_cache_reuses_converged_state() {
     let workers = 2;
 
     let mut server = QueryServer::new(config(true));
-    server.admit(pipeline_spec(
+    server.admit(spec(
         "pipe",
         pipeline(&fact, &dim, 500),
         vec![1, 0],
@@ -266,7 +251,7 @@ fn warm_cache_reuses_converged_state() {
     assert!(!cold.queries[0].warm_start, "first sighting must be cold");
     assert_eq!(server.cache().len(), 1);
 
-    server.admit(pipeline_spec(
+    server.admit(spec(
         "pipe",
         pipeline(&fact, &dim, 500),
         vec![1, 0],
@@ -292,7 +277,7 @@ fn warm_cache_reuses_converged_state() {
     // A slid literal is the *same* template: parameterized queries
     // (`val0 < ?`) share one cache entry, so the tweaked instance
     // warm-starts from the converged state of its 500-literal mate.
-    server.admit(pipeline_spec(
+    server.admit(spec(
         "pipe-tweaked",
         pipeline(&fact, &dim, 501),
         vec![1, 0],
@@ -310,7 +295,7 @@ fn warm_cache_reuses_converged_state() {
     // A *structural* change (different comparison operator) is a new
     // template and must miss.
     let restructured = join_template(&fact, &dim, Expr::col("val0").at_least(500), 500);
-    server.admit(pipeline_spec(
+    server.admit(spec(
         "pipe-restructured",
         restructured,
         vec![1, 0],
@@ -333,21 +318,14 @@ fn warm_cache_reuses_converged_state() {
 #[test]
 fn static_runs_bypass_the_order_cache() {
     let (fact, _dim) = tables(0x5AFE);
-    let plan = scan_plan([300, 500, 700]);
+    let plan = scan_plan(&fact, [300, 500, 700]);
     let mut server = QueryServer::new(ServeConfig {
         morsels: MorselConfig::new(1024),
         reopt: None,
         use_order_cache: true,
         dynamic_repartition: false,
     });
-    server.admit(QuerySpec::scan(
-        "q",
-        &fact,
-        plan.clone(),
-        vec![2, 1, 0],
-        Priority::Normal,
-        0,
-    ));
+    server.admit(spec("q", plan.clone(), vec![2, 1, 0], Priority::Normal, 0));
     let mut pool = CpuPool::new(CpuConfig::tiny_test(), 2);
     let first = server.run(&mut pool).unwrap();
     assert!(!first.queries[0].warm_start);
@@ -355,14 +333,7 @@ fn static_runs_bypass_the_order_cache() {
 
     // A repeat of the template with a *better* submitted order must keep
     // it, not be overridden by a stale "converged" entry.
-    server.admit(QuerySpec::scan(
-        "q",
-        &fact,
-        plan,
-        vec![0, 1, 2],
-        Priority::Normal,
-        0,
-    ));
+    server.admit(spec("q", plan, vec![0, 1, 2], Priority::Normal, 0));
     let second = server.run(&mut pool).unwrap();
     assert!(!second.queries[0].warm_start);
     assert_eq!(second.queries[0].final_order, vec![0, 1, 2]);
@@ -373,18 +344,11 @@ fn static_runs_bypass_the_order_cache() {
 #[test]
 fn future_arrival_idles_the_pool() {
     let (fact, _dim) = tables(0x1D1E);
-    let plan = scan_plan([100, 500, 900]);
+    let plan = scan_plan(&fact, [100, 500, 900]);
     let arrival = 2_000_000u64;
 
     let mut server = QueryServer::new(config(false));
-    server.admit(QuerySpec::scan(
-        "late",
-        &fact,
-        plan,
-        vec![0, 1, 2],
-        Priority::Normal,
-        arrival,
-    ));
+    server.admit(spec("late", plan, vec![0, 1, 2], Priority::Normal, arrival));
     let mut pool = CpuPool::new(CpuConfig::tiny_test(), 2);
     let report = server.run(&mut pool).unwrap();
     let q = &report.queries[0];
@@ -407,7 +371,7 @@ fn future_arrival_idles_the_pool() {
 #[test]
 fn config_validation_and_empty_batches() {
     let (fact, _dim) = tables(7);
-    let plan = scan_plan([500, 500, 500]);
+    let plan = scan_plan(&fact, [500, 500, 500]);
 
     // Empty batch: a defined empty report, no division by zero.
     let mut server = QueryServer::new(config(true));
@@ -427,14 +391,7 @@ fn config_validation_and_empty_batches() {
         }),
         ..ServeConfig::default()
     });
-    server.admit(QuerySpec::scan(
-        "q",
-        &fact,
-        plan.clone(),
-        vec![0, 1, 2],
-        Priority::Normal,
-        0,
-    ));
+    server.admit(spec("q", plan.clone(), vec![0, 1, 2], Priority::Normal, 0));
     assert!(server.run(&mut pool).is_err());
 
     // morsel_tuples = 0 is rejected by the dispatcher.
@@ -444,14 +401,7 @@ fn config_validation_and_empty_batches() {
         use_order_cache: false,
         dynamic_repartition: false,
     });
-    server.admit(QuerySpec::scan(
-        "q",
-        &fact,
-        plan,
-        vec![0, 1, 2],
-        Priority::Normal,
-        0,
-    ));
+    server.admit(spec("q", plan, vec![0, 1, 2], Priority::Normal, 0));
     assert!(server.run(&mut pool).is_err());
     assert_eq!(
         server.queued(),
@@ -465,40 +415,24 @@ fn config_validation_and_empty_batches() {
 #[test]
 fn rejected_batch_is_not_drained() {
     let (fact, _dim) = tables(0xEE);
-    let good = scan_plan([400, 500, 600]);
-    let bad = SelectionPlan::new(
-        vec![Predicate::new("no_such_column", CompareOp::Lt, 1)],
-        vec![],
-    )
-    .unwrap();
+    let good = scan_plan(&fact, [400, 500, 600]);
+    // An initial order that is not a permutation of the program's
+    // stages fails validation when the batch starts.
+    let mut bad = QuerySpec::compiled("bad", good.clone(), Priority::Low, 0);
+    bad.initial_order = vec![0, 0, 0];
 
     let mut server = QueryServer::new(config(false));
-    server.admit(QuerySpec::scan(
-        "good",
-        &fact,
-        good,
-        vec![0, 1, 2],
-        Priority::Normal,
-        0,
-    ));
-    server.admit(QuerySpec::scan(
-        "bad",
-        &fact,
-        bad,
-        vec![0],
-        Priority::Low,
-        0,
-    ));
+    server.admit(spec("good", good, vec![0, 1, 2], Priority::Normal, 0));
+    server.admit(bad);
     let mut pool = CpuPool::new(CpuConfig::tiny_test(), 2);
     assert!(server.run(&mut pool).is_err());
     assert_eq!(server.queued(), 2, "both queries must survive the error");
 
     // Successful runs drain.
     let mut server2 = QueryServer::new(config(false));
-    server2.admit(QuerySpec::scan(
+    server2.admit(spec(
         "ok",
-        &fact,
-        scan_plan([400, 500, 600]),
+        scan_plan(&fact, [400, 500, 600]),
         vec![0, 1, 2],
         Priority::Normal,
         0,
@@ -514,24 +448,10 @@ fn rejected_batch_is_not_drained() {
 #[test]
 fn priorities_order_completion_under_contention() {
     let (fact, _dim) = tables(0xFA1);
-    let plan = scan_plan([500, 500, 500]);
+    let plan = scan_plan(&fact, [500, 500, 500]);
     let mut server = QueryServer::new(config(false));
-    server.admit(QuerySpec::scan(
-        "hi",
-        &fact,
-        plan.clone(),
-        vec![0, 1, 2],
-        Priority::High,
-        0,
-    ));
-    server.admit(QuerySpec::scan(
-        "lo",
-        &fact,
-        plan,
-        vec![0, 1, 2],
-        Priority::Low,
-        0,
-    ));
+    server.admit(spec("hi", plan.clone(), vec![0, 1, 2], Priority::High, 0));
+    server.admit(spec("lo", plan, vec![0, 1, 2], Priority::Low, 0));
     // One worker: completion order is purely the scheduler's doing.
     let mut pool = CpuPool::new(CpuConfig::tiny_test(), 1);
     let report = server.run(&mut pool).unwrap();
@@ -555,24 +475,22 @@ fn priorities_order_completion_under_contention() {
 #[test]
 fn completed_query_warms_a_later_arrival_in_the_same_batch() {
     let (fact, _dim) = tables(0x0A51);
-    let plan = scan_plan([200, 500, 800]);
+    let plan = scan_plan(&fact, [200, 500, 800]);
     // Far enough out that the first instance has certainly completed
     // (in simulated time) before the second arrives; with one worker
     // the host-time order matches, so the test is fully deterministic.
     let late_arrival = 100_000_000u64;
 
     let mut server = QueryServer::new(config(true));
-    server.admit(QuerySpec::scan(
+    server.admit(spec(
         "early",
-        &fact,
         plan.clone(),
         vec![2, 1, 0],
         Priority::Normal,
         0,
     ));
-    server.admit(QuerySpec::scan(
+    server.admit(spec(
         "late",
-        &fact,
         plan,
         vec![2, 1, 0],
         Priority::Normal,
@@ -609,12 +527,11 @@ fn completed_query_warms_a_later_arrival_in_the_same_batch() {
 #[test]
 fn co_starting_template_mates_stay_cold() {
     let (fact, _dim) = tables(0x0A52);
-    let plan = scan_plan([200, 500, 800]);
+    let plan = scan_plan(&fact, [200, 500, 800]);
     let mut server = QueryServer::new(config(true));
     for k in 0..3 {
-        server.admit(QuerySpec::scan(
+        server.admit(spec(
             format!("q{k}"),
-            &fact,
             plan.clone(),
             vec![2, 1, 0],
             Priority::Normal,
@@ -678,12 +595,9 @@ fn tables_n(rows: usize, seed: u64) -> (Table, Table) {
 #[test]
 fn dynamic_repartition_cycles_are_host_schedule_independent() {
     let (fact, dim) = tables(0xD27A);
-    let plan = scan_plan([200, 500, 800]);
+    let plan = scan_plan(&fact, [200, 500, 800]);
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-    let scan_ref = plan
-        .compile(&fact, &[0, 1, 2])
-        .unwrap()
-        .run_range(&mut cpu, 0, ROWS);
+    let scan_ref = ordered(plan.clone(), &[0, 1, 2]).run_range(&mut cpu, 0, ROWS);
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
     let pipe_ref = pipeline(&fact, &dim, 500).run_range(&mut cpu, 0, ROWS);
 
@@ -693,22 +607,21 @@ fn dynamic_repartition_cycles_are_host_schedule_independent() {
             reopt: None,
             ..config(false)
         });
-        server.admit(pipeline_spec(
+        server.admit(spec(
             "pipe-0",
             pipeline(&fact, &dim, 500),
             vec![0, 1],
             Priority::Normal,
             0,
         ));
-        server.admit(QuerySpec::scan(
+        server.admit(spec(
             "scan-0",
-            &fact,
             plan.clone(),
             vec![0, 1, 2],
             Priority::Normal,
             2_000,
         ));
-        server.admit(pipeline_spec(
+        server.admit(spec(
             "pipe-1",
             pipeline(&fact, &dim, 500),
             vec![0, 1],
@@ -756,14 +669,14 @@ fn dynamic_repartition_prices_co_runners_and_reclaims_at_completion() {
             reopt: None,
             ..config(false)
         });
-        server.admit(pipeline_spec(
+        server.admit(spec(
             "fg",
             pipeline(&fact, &dim, 500),
             vec![0, 1],
             Priority::Normal,
             0,
         ));
-        server.admit(pipeline_spec(
+        server.admit(spec(
             "co",
             pipeline(co_fact, co_dim, 500),
             vec![0, 1],

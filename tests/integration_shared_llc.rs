@@ -6,8 +6,7 @@
 
 use popt::core::exec::CompiledProgram;
 use popt::core::parallel::{run_parallel_program, MorselConfig};
-use popt::core::plan::{order_by_cost_per_tuple, Expr, PlanBuilder, SelectionPlan};
-use popt::core::predicate::{CompareOp, Predicate};
+use popt::core::plan::{order_by_cost_per_tuple, Expr, PlanBuilder};
 use popt::core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
 use popt::cost::cycles::{stage_costs_per_input_tuple, CycleParams};
 use popt::cpu::{CpuPool, LlcMode, SimCpu};
@@ -140,31 +139,21 @@ fn contended_capacity_flips_the_operator_ranking() {
 #[test]
 fn serve_on_shared_socket_is_bit_identical() {
     let (fact, dim) = tables(12 * 1024, 0x7A9);
-    let plan = SelectionPlan::new(
-        vec![
-            Predicate::new("val", CompareOp::Lt, literal_for(0.3)),
-            Predicate::new("fk", CompareOp::Ge, 10),
-        ],
-        vec!["val".into()],
-    )
-    .unwrap();
+    let mut scan = PlanBuilder::scan(&fact)
+        .filter(Expr::col("val").less_than(literal_for(0.3)))
+        .filter(Expr::col("fk").at_least(10))
+        .aggregate("val")
+        .build()
+        .compile()
+        .unwrap();
+    scan.reorder(&[1, 0]).unwrap();
     let mut cpu = SimCpu::new(small_cache_cpu());
-    let scan_ref = plan
-        .compile(&fact, &[1, 0])
-        .unwrap()
-        .run_range(&mut cpu, 0, ROWS);
+    let scan_ref = scan.run_range(&mut cpu, 0, ROWS);
     let mut cpu = SimCpu::new(small_cache_cpu());
     let pipe_ref = build(&fact, &dim, 50).run_range(&mut cpu, 0, ROWS);
 
     let mut server = QueryServer::new(ServeConfig::default());
-    server.admit(QuerySpec::scan(
-        "scan",
-        &fact,
-        plan.clone(),
-        vec![1, 0],
-        Priority::High,
-        0,
-    ));
+    server.admit(QuerySpec::compiled("scan", scan, Priority::High, 0));
     let mut pipe = build(&fact, &dim, 50);
     pipe.reorder(&[1, 0]).unwrap();
     server.admit(QuerySpec::compiled("pipe", pipe, Priority::Low, 0));

@@ -12,9 +12,7 @@
 use proptest::prelude::*;
 
 use popt::core::parallel::{run_parallel_program, MorselConfig};
-use popt::core::plan::SelectionPlan;
 use popt::core::plan::{Expr, LogicalPlan, PlanBuilder};
-use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
 use popt::cpu::{CpuConfig, CpuPool, LlcMode, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
@@ -150,14 +148,13 @@ proptest! {
                 .collect();
             t.add_column(format!("c{c}"), ColumnData::I32(data), &mut space);
         }
-        let plan = SelectionPlan::new(
-            (0..preds)
-                .map(|c| Predicate::new(format!("c{c}"), CompareOp::Lt, lit + c as i64 * 37))
-                .collect(),
-            if with_agg { vec!["c0".into()] } else { vec![] },
-        ).expect("plan");
-        let peo: Vec<usize> = (0..preds).collect();
-        let mut fast = plan.compile(&t, &peo).expect("compiles");
+        let mut builder = (0..preds).fold(PlanBuilder::scan(&t), |b, c| {
+            b.filter(Expr::col(format!("c{c}")).less_than(lit + c as i64 * 37))
+        });
+        if with_agg {
+            builder = builder.aggregate("c0");
+        }
+        let mut fast = builder.build().compile().expect("compiles");
         let mut cpu_f = SimCpu::new(CpuConfig::tiny_test());
         let mut cpu_o = SimCpu::new(CpuConfig::tiny_test());
         let mut start = 0usize;

@@ -4,9 +4,7 @@
 use proptest::prelude::*;
 
 use popt::core::exec::CompiledProgram;
-use popt::core::plan::{order_by_selectivity, SelectionPlan};
-use popt::core::plan::{Expr, PlanBuilder};
-use popt::core::predicate::{CompareOp, Predicate};
+use popt::core::plan::{is_valid_peo, order_by_cost_per_tuple, Expr, PlanBuilder};
 use popt::cost::estimate::{estimate_counters, PlanGeometry};
 use popt::cost::markov::ChainSpec;
 use popt::cpu::{CpuConfig, SimCpu};
@@ -14,11 +12,11 @@ use popt::solver::bounds::bnt_bounds;
 use popt::storage::distribution::{knuth_shuffle_window, max_displacement};
 use popt::storage::{AddressSpace, ColumnData, Table};
 
-fn table_with_columns(rows: usize, literals: &[i64], seed: u64) -> (Table, SelectionPlan) {
+fn table_with_columns(rows: usize, columns: usize, seed: u64) -> Table {
     let mut space = AddressSpace::new();
     let mut t = Table::new("t");
     let mut state = seed | 1;
-    for c in 0..literals.len() {
+    for c in 0..columns {
         let data: Vec<i32> = (0..rows)
             .map(|_| {
                 state ^= state << 13;
@@ -29,16 +27,23 @@ fn table_with_columns(rows: usize, literals: &[i64], seed: u64) -> (Table, Selec
             .collect();
         t.add_column(format!("c{c}"), ColumnData::I32(data), &mut space);
     }
-    let plan = SelectionPlan::new(
-        literals
-            .iter()
-            .enumerate()
-            .map(|(c, &lit)| Predicate::new(format!("c{c}"), CompareOp::Lt, lit))
-            .collect(),
-        vec![],
-    )
-    .expect("non-empty plan");
-    (t, plan)
+    t
+}
+
+/// One `c{i} < literals[i]` filter per literal, in evaluation order
+/// `order`.
+fn program<'t>(t: &'t Table, literals: &[i64], order: &[usize]) -> CompiledProgram<'t> {
+    let mut program = literals
+        .iter()
+        .enumerate()
+        .fold(PlanBuilder::scan(t), |b, (c, &lit)| {
+            b.filter(Expr::col(format!("c{c}")).less_than(lit))
+        })
+        .build()
+        .compile()
+        .expect("non-empty plan");
+    program.reorder(order).expect("valid order");
+    program
 }
 
 proptest! {
@@ -55,9 +60,9 @@ proptest! {
         swap in any::<bool>(),
     ) {
         let rows = 2048usize;
-        let (t, plan) = table_with_columns(rows, &[lit1, lit2, lit3], seed);
+        let t = table_with_columns(rows, 3, seed);
         let peo = if swap { vec![2, 0, 1] } else { vec![0, 1, 2] };
-        let compiled = plan.compile(&t, &peo).unwrap();
+        let compiled = program(&t, &[lit1, lit2, lit3], &peo);
         let mut cpu = SimCpu::new(CpuConfig::tiny_test());
         let stats = compiled.run_range(&mut cpu, 0, rows);
         let c = &stats.counters;
@@ -74,10 +79,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let rows = 2048usize;
-        let (t, plan) = table_with_columns(rows, &[lit1, lit2], seed);
+        let t = table_with_columns(rows, 2, seed);
         let mut results = Vec::new();
         for peo in [[0usize, 1], [1, 0]] {
-            let compiled = plan.compile(&t, &peo).unwrap();
+            let compiled = program(&t, &[lit1, lit2], &peo);
             let mut cpu = SimCpu::new(CpuConfig::tiny_test());
             let stats = compiled.run_range(&mut cpu, 0, rows);
             results.push((stats.qualified, stats.counters.branches_not_taken));
@@ -95,9 +100,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let rows = 2048usize;
-        let (t, plan) = table_with_columns(rows, &[lit1, lit2, lit3], seed);
-        let peo = plan.identity_peo();
-        let compiled = plan.compile(&t, &peo).unwrap();
+        let t = table_with_columns(rows, 3, seed);
+        let literals = [lit1, lit2, lit3];
+        let compiled = program(&t, &literals, &[0, 1, 2]);
         let mut cpu = SimCpu::new(CpuConfig::tiny_test());
         let stats = compiled.run_range(&mut cpu, 0, rows);
         let sampled = stats.sampled_counters();
@@ -111,7 +116,7 @@ proptest! {
         for i in 0..rows {
             let mut alive = true;
             for (j, col) in cols.iter().enumerate() {
-                alive = alive && plan.predicates[j].eval(i64::from(col[i]));
+                alive = alive && i64::from(col[i]) < literals[j];
                 if alive {
                     survivors[j] += 1.0;
                 } else {
@@ -261,28 +266,25 @@ proptest! {
         prop_assert_eq!(broken.order(), &(0..stages).collect::<Vec<_>>()[..]);
     }
 
-    /// Reordering by selectivity yields a valid permutation and puts the
-    /// minimum-selectivity predicate first.
+    /// Reordering by cost per tuple yields a valid permutation; with
+    /// equal costs it is ascending selectivity, ties broken by plan index.
     #[test]
     fn selectivity_order_is_valid_permutation(
         s1 in 0.0f64..1.0,
         s2 in 0.0f64..1.0,
         s3 in 0.0f64..1.0,
         s4 in 0.0f64..1.0,
+        cost in 0.1f64..100.0,
     ) {
         let peo = vec![3usize, 1, 0, 2];
         let sels = vec![s1, s2, s3, s4];
-        let ordered = order_by_selectivity(&peo, &sels);
-        let mut check = ordered.clone();
-        check.sort_unstable();
-        prop_assert_eq!(check, vec![0, 1, 2, 3]);
-        // The first entry corresponds to the minimum selectivity.
-        let min_idx = sels
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        prop_assert_eq!(ordered[0], peo[min_idx]);
+        let ordered = order_by_cost_per_tuple(&peo, &[cost; 4], &sels);
+        prop_assert!(is_valid_peo(&ordered, 4), "{:?}", ordered);
+        // Selectivity of each plan index, read back through `peo`.
+        let sel_of = |idx: usize| sels[peo.iter().position(|&p| p == idx).unwrap()];
+        for w in ordered.windows(2) {
+            let (a, b) = (sel_of(w[0]), sel_of(w[1]));
+            prop_assert!(a < b || (a == b && w[0] < w[1]), "{:?} over {:?}", ordered, sels);
+        }
     }
 }

@@ -10,10 +10,8 @@
 use proptest::prelude::*;
 
 use popt::core::exec::CompiledProgram;
-use popt::core::parallel::{run_parallel_program, run_parallel_scan, MorselConfig};
-use popt::core::plan::SelectionPlan;
+use popt::core::parallel::{run_parallel_program, MorselConfig};
 use popt::core::plan::{Expr, PlanBuilder};
-use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
 use popt::cpu::{CpuConfig, CpuPool, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
@@ -147,26 +145,26 @@ proptest! {
                 .collect();
             t.add_column(format!("c{c}"), ColumnData::I32(data), &mut space);
         }
-        let plan = SelectionPlan::new(
-            vec![
-                Predicate::new("c0", CompareOp::Lt, lit1),
-                Predicate::new("c1", CompareOp::Lt, lit2),
-                Predicate::new("c2", CompareOp::Lt, lit3),
-            ],
-            vec!["c0".into()],
-        ).expect("plan");
+        let program = PlanBuilder::scan(&t)
+            .filter(Expr::col("c0").less_than(lit1))
+            .filter(Expr::col("c1").less_than(lit2))
+            .filter(Expr::col("c2").less_than(lit3))
+            .aggregate("c0")
+            .build()
+            .compile()
+            .expect("compiles");
         let peo: Vec<usize> = if swap { vec![2, 0, 1] } else { vec![0, 1, 2] };
 
-                let compiled = plan.compile(&t, &peo).expect("compiles");
+        let mut compiled = program.clone();
+        compiled.reorder(&peo).expect("valid order");
         let mut cpu = SimCpu::new(CpuConfig::tiny_test());
         let expect = compiled.run_range(&mut cpu, 0, ROWS);
 
         for progressive in [false, true] {
             let mut pool = CpuPool::new(CpuConfig::tiny_test(), workers);
             let config = ProgressiveConfig { reop_interval: 2, ..Default::default() };
-            let report = run_parallel_scan(
-                &t,
-                &plan,
+            let report = run_parallel_program(
+                &mut program.clone(),
                 &peo,
                 MorselConfig::new(morsel_tuples),
                 &mut pool,

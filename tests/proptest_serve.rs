@@ -9,9 +9,7 @@
 use proptest::prelude::*;
 
 use popt::core::exec::CompiledProgram;
-use popt::core::plan::SelectionPlan;
 use popt::core::plan::{Expr, PlanBuilder};
-use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
 use popt::core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
 use popt::core::MorselConfig;
@@ -56,15 +54,17 @@ fn tables(seed: u64) -> (Table, Table) {
     (fact, dim)
 }
 
-fn scan_plan(lit: i64) -> SelectionPlan {
-    SelectionPlan::new(
-        vec![
-            Predicate::new("val0", CompareOp::Lt, lit),
-            Predicate::new("val1", CompareOp::Lt, 1000 - lit / 2),
-        ],
-        vec!["val0".into()],
-    )
-    .expect("plan")
+/// Two selections summing `val0`, starting from the second.
+fn scan_program(fact: &Table, lit: i64) -> CompiledProgram<'_> {
+    let mut program = PlanBuilder::scan(fact)
+        .filter(Expr::col("val0").less_than(lit))
+        .filter(Expr::col("val1").less_than(1000 - lit / 2))
+        .aggregate("val0")
+        .build()
+        .compile()
+        .expect("compiles");
+    program.reorder(&[1, 0]).expect("valid order");
+    program
 }
 
 /// Selection then join, summing `val1`, starting join-first.
@@ -119,15 +119,11 @@ proptest! {
             };
             let priority = priorities[(priority_bits >> (2 * k)) as usize % 3];
             if (kinds >> k) & 1 == 0 {
-                let plan = scan_plan(lit);
+                let program = scan_program(&fact, lit);
                 let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-                let expect = plan.compile(&fact, &[1, 0])
-                    .expect("compiles")
-                    .run_range(&mut cpu, 0, ROWS);
+                let expect = program.run_range(&mut cpu, 0, ROWS);
                 refs.push((expect.qualified, expect.sum));
-                server.admit(QuerySpec::scan(
-                    format!("q{k}"), &fact, plan, vec![1, 0], priority, arrival,
-                ));
+                server.admit(QuerySpec::compiled(format!("q{k}"), program, priority, arrival));
             } else {
                 let pipeline = build_pipeline(&fact, &dim, lit);
                 let mut cpu = SimCpu::new(CpuConfig::tiny_test());
